@@ -4,20 +4,19 @@
 // particular case, the red-black tree turned out to be more efficient than
 // other self-balancing binary search trees such as AVL trees."
 //
-// This bench reproduces that comparison on Eunomia's actual access pattern:
+// This bench measures the buffer on Eunomia's actual access pattern:
 // mostly-ascending timestamped inserts from N interleaved partition streams,
 // punctuated by periodic ExtractUpTo(stable_time) bulk removals. std::map
 // (the library red-black tree) is included as a sanity reference.
 //
 // Two tiers:
-//   - BM_OrdBuf*: the three OrderedBuffer policies (src/ordbuf/) driven
+//   - BM_OrdBuf*: the two OrderedBuffer policies (src/ordbuf/) driven
 //     through the concept interface the core actually uses — per-partition
-//     monotone Append + emit-callback ExtractUpTo. This is the three-way
-//     A1 comparison: the paper's red-black tree, the AVL also-ran, and the
-//     PartitionRunBuffer fast path that exploits Property 2 (O(1) ring
-//     appends + tournament-merge extraction).
-//   - BM_RedBlackTree/BM_AvlTree/BM_StdMap: the raw trees through their
-//     Insert/ExtractUpTo interface, kept as the historical §6 comparison.
+//     monotone Append + emit-callback ExtractUpTo: the paper's red-black
+//     tree against the PartitionRunBuffer fast path that exploits Property 2
+//     (O(1) ring appends + tournament-merge extraction).
+//   - BM_RedBlackTree/BM_StdMap: the raw trees through their
+//     Insert/ExtractUpTo interface.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -25,10 +24,8 @@
 
 #include "src/common/random.h"
 #include "src/eunomia/op.h"
-#include "src/ordbuf/avl_buffer.h"
 #include "src/ordbuf/partition_run_buffer.h"
 #include "src/ordbuf/rbtree_buffer.h"
-#include "src/rbtree/avl_tree.h"
 #include "src/rbtree/red_black_tree.h"
 
 namespace eunomia {
@@ -88,9 +85,6 @@ void RunInsertExtract(benchmark::State& state) {
 void BM_RedBlackTree(benchmark::State& state) {
   RunInsertExtract<RedBlackTree<OpOrderKey, std::uint64_t>>(state);
 }
-void BM_AvlTree(benchmark::State& state) {
-  RunInsertExtract<AvlTree<OpOrderKey, std::uint64_t>>(state);
-}
 
 // std::map adapter with the same interface subset.
 class StdMapBuffer {
@@ -117,10 +111,9 @@ class StdMapBuffer {
 void BM_StdMap(benchmark::State& state) { RunInsertExtract<StdMapBuffer>(state); }
 
 BENCHMARK(BM_RedBlackTree)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AvlTree)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StdMap)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 
-// --- the three-way OrderedBuffer policy comparison ---------------------------
+// --- the OrderedBuffer policy comparison -------------------------------------
 // Same workload shape, but through the concept interface EunomiaCore uses:
 // per-partition monotone Append, periodic emit-callback extraction at the
 // partition frontier. This is the number the §6 design choice actually
@@ -156,9 +149,6 @@ void RunBufferInsertExtract(benchmark::State& state) {
 void BM_OrdBufRbTree(benchmark::State& state) {
   RunBufferInsertExtract<ordbuf::RbTreeBuffer<std::uint64_t>>(state);
 }
-void BM_OrdBufAvl(benchmark::State& state) {
-  RunBufferInsertExtract<ordbuf::AvlBuffer<std::uint64_t>>(state);
-}
 void BM_OrdBufPartitionRun(benchmark::State& state) {
   RunBufferInsertExtract<ordbuf::PartitionRunBuffer<std::uint64_t>>(state);
 }
@@ -166,9 +156,6 @@ void BM_OrdBufPartitionRun(benchmark::State& state) {
 // Args: {rounds, partitions}. 32 partitions matches the historical tree
 // bench; 60 is the paper's Fig. 2 saturation point.
 BENCHMARK(BM_OrdBufRbTree)
-    ->Args({256, 32})->Args({1024, 32})->Args({1024, 60})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_OrdBufAvl)
     ->Args({256, 32})->Args({1024, 32})->Args({1024, 60})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OrdBufPartitionRun)
@@ -193,11 +180,7 @@ void RunAscending(benchmark::State& state) {
 void BM_RedBlackAscending(benchmark::State& state) {
   RunAscending<RedBlackTree<OpOrderKey, std::uint64_t>>(state);
 }
-void BM_AvlAscending(benchmark::State& state) {
-  RunAscending<AvlTree<OpOrderKey, std::uint64_t>>(state);
-}
 BENCHMARK(BM_RedBlackAscending)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AvlAscending)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace eunomia

@@ -26,8 +26,8 @@
 // to 75 partitions.
 // A third part measures the *native multithreaded service* (the sharded
 // stabilizer pipeline): producers race a fixed op count into EunomiaService
-// across num_shards and ordered-buffer backends (the §6 red-black tree, the
-// AVL also-ran, and the Property-2 run-queue fast path) and we report
+// across num_shards and ordered-buffer backends (the §6 red-black tree and
+// the Property-2 run-queue fast path) and we report
 // stabilized ops/sec — the scaling curve the sharding refactor buys plus the
 // speedup the buffer policy buys on top. The scan is also emitted as
 // machine-readable BENCH_fig2.json (in the working directory) so CI can
@@ -55,7 +55,6 @@
 #include "src/eunomia/service.h"
 #include "src/net/epoll_transport.h"
 #include "src/net/loopback_transport.h"
-#include "src/net/tcp_transport.h"
 #include "src/ordbuf/ordered_buffer.h"
 #include "src/harness/table.h"
 #include "src/sim/network.h"
@@ -247,8 +246,6 @@ struct ScanPoint {
   // "inproc" for direct SubmitBatch calls, else the net transport used.
   const char* transport = "inproc";
   double ack_mean_us = -1.0;  // mean batch-ack round trip; < 0 = n/a
-  // TCP I/O backend ("epoll" or "threaded"); empty for non-TCP points.
-  const char* io = "";
   // Batch-ack round-trip percentiles (bucket upper bounds); < 0 = n/a.
   double ack_p50_us = -1.0;
   double ack_p95_us = -1.0;
@@ -283,9 +280,6 @@ void WriteBenchJson(const char* path, bool smoke,
                  "\"transport\": \"%s\", \"mops_per_s\": %.3f",
                  ordbuf::BackendName(points[i].backend), points[i].shards,
                  points[i].transport, points[i].ops_per_sec / 1e6);
-    if (points[i].io[0] != '\0') {
-      std::fprintf(f, ", \"io\": \"%s\"", points[i].io);
-    }
     if (points[i].ack_mean_us >= 0.0) {
       std::fprintf(f, ", \"ack_mean_us\": %.1f", points[i].ack_mean_us);
     }
@@ -322,14 +316,10 @@ bool RunShardScan(bool smoke, std::vector<ScanPoint>* points) {
   const std::vector<std::uint32_t> shard_counts =
       smoke ? std::vector<std::uint32_t>{1u, 4u}
             : std::vector<std::uint32_t>{1u, 2u, 4u, 8u};
-  // The three-way ordered-buffer comparison end-to-end; smoke keeps CI cheap
-  // with the two backends the equivalence test pins against each other.
-  const std::vector<ordbuf::Backend> backends =
-      smoke ? std::vector<ordbuf::Backend>{ordbuf::Backend::kRbTree,
-                                           ordbuf::Backend::kPartitionRun}
-            : std::vector<ordbuf::Backend>{ordbuf::Backend::kRbTree,
-                                           ordbuf::Backend::kAvl,
-                                           ordbuf::Backend::kPartitionRun};
+  // The ordered-buffer comparison end-to-end: the two backends the
+  // equivalence test pins against each other.
+  const std::vector<ordbuf::Backend> backends = {
+      ordbuf::Backend::kRbTree, ordbuf::Backend::kPartitionRun};
   std::printf(
       "\nnative sharded stabilizer pipeline: %u producer partitions race "
       "%llu ops each\n(buffer backend x num_shards; speedups vs the rbtree "
@@ -381,18 +371,16 @@ bool RunShardScan(bool smoke, std::vector<ScanPoint>* points) {
 // One client connection per partition; the partition_run backend (the
 // default everywhere) behind the service.
 bool RunTransportScan(const std::string& kind, bool smoke,
-                      net::TcpBackend io, std::vector<ScanPoint>* points) {
+                      std::vector<ScanPoint>* points) {
   const bench::FixedLoad load = MakeScanLoad(smoke);
   const std::vector<std::uint32_t> shard_counts =
       smoke ? std::vector<std::uint32_t>{1u, 4u}
             : std::vector<std::uint32_t>{1u, 2u, 4u, 8u};
-  const char* io_label = kind == "tcp" ? net::TcpBackendName(io) : "";
   std::printf(
-      "\nnetworked service (%s transport%s%s): %u client connections race "
+      "\nnetworked service (%s transport): %u client connections race "
       "%llu ops each\nthrough net::EunomiaClient -> eunomiad-style "
       "net::EunomiaServer (partition_run buffer)\n",
-      kind.c_str(), kind == "tcp" ? ", io=" : "", io_label,
-      load.num_partitions,
+      kind.c_str(), load.num_partitions,
       static_cast<unsigned long long>(load.ops_per_partition));
   Table table({"transport", "num_shards", "stabilized (kops/s)",
                "ack mean (us)", "ack p95 (us)", "ack max (us)"});
@@ -415,7 +403,7 @@ bool RunTransportScan(const std::string& kind, bool smoke,
     // Fresh transport per run: EunomiaServer::Stop shuts its transport down.
     bench::TransportRunResult result;
     if (kind == "tcp") {
-      std::unique_ptr<net::Transport> transport = net::MakeTcpTransport(io);
+      net::EpollTransport transport;
       std::atomic<bool> done{false};
       std::thread scraper([&metrics_address, &last_scrape, &done] {
         while (!done.load(std::memory_order_relaxed)) {
@@ -428,7 +416,7 @@ bool RunTransportScan(const std::string& kind, bool smoke,
         }
       });
       result = bench::MeasureTransportThroughput(
-          *transport, "127.0.0.1:0", shards, load, 200,
+          transport, "127.0.0.1:0", shards, load, 200,
           ordbuf::Backend::kPartitionRun, &metrics::Registry::Default());
       done.store(true, std::memory_order_relaxed);
       scraper.join();
@@ -443,7 +431,6 @@ bool RunTransportScan(const std::string& kind, bool smoke,
     ScanPoint point{ordbuf::Backend::kPartitionRun, shards, result.ops_per_sec,
                     kind == "tcp" ? "tcp" : "loopback",
                     result.ack_latency_us.Mean()};
-    point.io = io_label;
     point.ack_p50_us =
         static_cast<double>(result.ack_latency_us.Percentile(50));
     point.ack_p95_us =
@@ -475,9 +462,9 @@ bool RunTransportScan(const std::string& kind, bool smoke,
     const std::uint32_t shards = shard_counts.back();
     bench::TransportRunResult result;
     if (kind == "tcp") {
-      std::unique_ptr<net::Transport> transport = net::MakeTcpTransport(io);
+      net::EpollTransport transport;
       result = bench::MeasureTransportThroughput(
-          *transport, "127.0.0.1:0", shards, paced, 200,
+          transport, "127.0.0.1:0", shards, paced, 200,
           ordbuf::Backend::kPartitionRun, &metrics::Registry::Default());
     } else {
       net::LoopbackTransport transport;
@@ -490,7 +477,6 @@ bool RunTransportScan(const std::string& kind, bool smoke,
     ScanPoint point{ordbuf::Backend::kPartitionRun, shards, result.ops_per_sec,
                     kind == "tcp" ? "tcp" : "loopback",
                     result.ack_latency_us.Mean()};
-    point.io = io_label;
     point.paced = true;
     point.ack_p50_us =
         static_cast<double>(result.ack_latency_us.Percentile(50));
@@ -537,7 +523,7 @@ bool RunTransportScan(const std::string& kind, bool smoke,
   return all_converged;
 }
 
-int Run(bool smoke, const std::string& transport, net::TcpBackend io) {
+int Run(bool smoke, const std::string& transport) {
   harness::PrintBanner(
       "Figure 2: maximum throughput, Eunomia vs a synchronous sequencer",
       "clients connect directly to the services (each client = one "
@@ -547,7 +533,7 @@ int Run(bool smoke, const std::string& transport, net::TcpBackend io) {
   if (smoke) {
     bool ok = RunShardScan(/*smoke=*/true, &points);
     if (transport != "inproc") {
-      ok = RunTransportScan(transport, /*smoke=*/true, io, &points) && ok;
+      ok = RunTransportScan(transport, /*smoke=*/true, &points) && ok;
     }
     WriteBenchJson("BENCH_fig2.json", /*smoke=*/true, points,
                    MakeScanLoad(true));
@@ -588,7 +574,7 @@ int Run(bool smoke, const std::string& transport, net::TcpBackend io) {
 
   bool ok = RunShardScan(/*smoke=*/false, &points);
   if (transport != "inproc") {
-    ok = RunTransportScan(transport, /*smoke=*/false, io, &points) && ok;
+    ok = RunTransportScan(transport, /*smoke=*/false, &points) && ok;
   }
   WriteBenchJson("BENCH_fig2.json", /*smoke=*/false, points,
                  MakeScanLoad(false));
@@ -599,7 +585,7 @@ int Run(bool smoke, const std::string& transport, net::TcpBackend io) {
 }  // namespace eunomia
 
 int main(int argc, char** argv) {
-  eunomia::bench::Flags flags(argc, argv, {"smoke", "transport", "io"});
+  eunomia::bench::Flags flags(argc, argv, {"smoke", "transport"});
   if (!flags.ok()) {
     return flags.FailUsage();
   }
@@ -610,11 +596,5 @@ int main(int argc, char** argv) {
                  transport.c_str());
     return 2;
   }
-  eunomia::net::TcpBackend io = eunomia::net::TcpBackend::kEpoll;
-  if (!eunomia::net::ParseTcpBackend(flags.Get("io", "epoll"), &io)) {
-    std::fprintf(stderr, "--io must be epoll or threaded (got '%s')\n",
-                 flags.Get("io", "epoll").c_str());
-    return 2;
-  }
-  return eunomia::Run(flags.smoke(), transport, io);
+  return eunomia::Run(flags.smoke(), transport);
 }

@@ -37,7 +37,7 @@
 #include "src/georep/runtime/geo_node.h"
 #include "src/metrics/metrics_server.h"
 #include "src/metrics/registry.h"
-#include "src/net/tcp_transport.h"
+#include "src/net/epoll_transport.h"
 
 namespace eunomia {
 namespace {
@@ -254,8 +254,8 @@ TcpScenarioResult RunTcpReconnectScenario(bool smoke) {
       static_cast<long long>((kill_after + dead_for).count()));
 
   // Declared before the nodes: a GeoNode's Stop touches its transport.
-  auto transport0 = std::make_unique<net::TcpTransport>();
-  auto transport1 = std::make_unique<net::TcpTransport>();
+  auto transport0 = std::make_unique<net::EpollTransport>();
+  auto transport1 = std::make_unique<net::EpollTransport>();
   auto node0 = std::make_unique<GeoNode>(transport0.get(), options0);
   auto node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   const std::string addr0 = node0->Listen("127.0.0.1:0");
@@ -292,7 +292,8 @@ TcpScenarioResult RunTcpReconnectScenario(bool smoke) {
       }
       writer_ops.fetch_add(1, std::memory_order_relaxed);
       const Key key = static_cast<Key>(c) * 1000 + static_cast<Key>(i % 64);
-      node->ClientUpdate(100 + c, key, "v" + std::to_string(i),
+      node->ClientUpdate(100 + c, key,
+                         std::string("v").append(std::to_string(i)),
                          [issue, i] { (*issue)(i + 1); });
     };
     (*issue)(0);
@@ -346,7 +347,7 @@ TcpScenarioResult RunTcpReconnectScenario(bool smoke) {
   std::this_thread::sleep_for(dead_for);
   // Reboot dc1 on the same address (fresh transport, fresh empty runtime).
   // dc0's background re-dial loop finds it and replays its full history.
-  transport1 = std::make_unique<net::TcpTransport>();
+  transport1 = std::make_unique<net::EpollTransport>();
   node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   if (node1->Listen(addr1).empty()) {
     std::printf("ERROR: dc1 could not rebind %s after restart\n",

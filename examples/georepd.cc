@@ -55,7 +55,6 @@
 #include "src/metrics/metrics_server.h"
 #include "src/metrics/registry.h"
 #include "src/net/epoll_transport.h"
-#include "src/net/tcp_transport.h"
 
 namespace {
 
@@ -82,8 +81,7 @@ std::vector<std::string> SplitCsv(const std::string& csv) {
 
 // The ctest/CI smoke path: the full deployment in one process, every
 // cross-DC byte over real loopback TCP sockets.
-int RunSmoke(std::uint32_t num_dcs, std::uint32_t partitions,
-             eunomia::net::TcpBackend io) {
+int RunSmoke(std::uint32_t num_dcs, std::uint32_t partitions) {
   using namespace eunomia;
   geo::GeoConfig config;
   config.num_dcs = num_dcs;
@@ -100,11 +98,11 @@ int RunSmoke(std::uint32_t num_dcs, std::uint32_t partitions,
     return 1;
   }
 
-  std::vector<std::unique_ptr<net::Transport>> transports;
+  std::vector<std::unique_ptr<net::EpollTransport>> transports;
   std::vector<std::unique_ptr<geo::rt::GeoNode>> nodes;
   std::vector<std::string> addresses;
   for (DatacenterId m = 0; m < num_dcs; ++m) {
-    transports.push_back(net::MakeTcpTransport(io));
+    transports.push_back(std::make_unique<net::EpollTransport>());
     geo::rt::GeoNode::Options node_options;
     node_options.dc = m;
     node_options.config = config;
@@ -299,8 +297,7 @@ int RunSmoke(std::uint32_t num_dcs, std::uint32_t partitions,
 int main(int argc, char** argv) {
   eunomia::bench::Flags flags(argc, argv,
                               {"dc", "dcs", "partitions", "listen", "peers",
-                               "data-dir", "fsync", "metrics-port", "smoke",
-                               "io"});
+                               "data-dir", "fsync", "metrics-port", "smoke"});
   if (!flags.ok()) {
     return flags.FailUsage();
   }
@@ -308,14 +305,8 @@ int main(int argc, char** argv) {
   const auto num_dcs = static_cast<std::uint32_t>(flags.GetUint("dcs", 3));
   const auto partitions =
       static_cast<std::uint32_t>(flags.GetUint("partitions", 8));
-  eunomia::net::TcpBackend io = eunomia::net::TcpBackend::kEpoll;
-  if (!eunomia::net::ParseTcpBackend(flags.Get("io", "epoll"), &io)) {
-    std::fprintf(stderr, "--io must be epoll or threaded (got '%s')\n",
-                 flags.Get("io", "epoll").c_str());
-    return 2;
-  }
   if (flags.smoke()) {
-    return RunSmoke(num_dcs, partitions, io);
+    return RunSmoke(num_dcs, partitions);
   }
   if (dc >= num_dcs) {
     std::fprintf(stderr, "georepd: --dc=%u out of range (--dcs=%u)\n", dc,
@@ -356,9 +347,8 @@ int main(int argc, char** argv) {
   if (flags.Has("metrics-port")) {
     node_options.metrics = &eunomia::metrics::Registry::Default();
   }
-  std::unique_ptr<eunomia::net::Transport> transport =
-      eunomia::net::MakeTcpTransport(io);
-  eunomia::geo::rt::GeoNode node(transport.get(), node_options);
+  eunomia::net::EpollTransport transport;
+  eunomia::geo::rt::GeoNode node(&transport, node_options);
   const std::string bound =
       node.Listen(flags.Get("listen", "127.0.0.1:9100"));
   if (bound.empty()) {

@@ -12,9 +12,6 @@ EunomiaCore::OpsBuffer EunomiaCore::MakeBuffer(ordbuf::Backend backend,
     case ordbuf::Backend::kRbTree:
       return OpsBuffer(std::in_place_type<ordbuf::RbTreeBuffer<OpRecord>>,
                        num_partitions, first_partition);
-    case ordbuf::Backend::kAvl:
-      return OpsBuffer(std::in_place_type<ordbuf::AvlBuffer<OpRecord>>,
-                       num_partitions, first_partition);
     case ordbuf::Backend::kPartitionRun:
       break;
   }

@@ -6,10 +6,10 @@
 //     uses a red-black tree; Property 2 (per-partition timestamp
 //     monotonicity) admits a strictly cheaper layout — one sorted run per
 //     partition with a tournament-tree merge at extraction — which is the
-//     default backend. The red-black and AVL trees remain selectable so
-//     the §6 design choice stays reproducible and the fast path's
-//     semantics stay pinned against them (the emitted sequence is
-//     bit-for-bit identical across backends).
+//     default backend. The red-black tree remains selectable so the §6
+//     design choice stays reproducible and the fast path's semantics stay
+//     pinned against it (the emitted sequence is bit-for-bit identical
+//     across backends).
 //   - PartitionTime: the latest timestamp received from every partition
 //     (updated by both operations and heartbeats), held in an incremental
 //     min-tournament so StableTime() is an O(1) read instead of an O(P)
@@ -33,7 +33,6 @@
 
 #include "src/common/types.h"
 #include "src/eunomia/op.h"
-#include "src/ordbuf/avl_buffer.h"
 #include "src/ordbuf/min_tournament.h"
 #include "src/ordbuf/ordered_buffer.h"
 #include "src/ordbuf/partition_run_buffer.h"
@@ -59,9 +58,6 @@ class EunomiaCore {
   ordbuf::Backend backend() const {
     if (std::holds_alternative<ordbuf::RbTreeBuffer<OpRecord>>(ops_)) {
       return ordbuf::Backend::kRbTree;
-    }
-    if (std::holds_alternative<ordbuf::AvlBuffer<OpRecord>>(ops_)) {
-      return ordbuf::Backend::kAvl;
     }
     return ordbuf::Backend::kPartitionRun;
   }
@@ -114,8 +110,7 @@ class EunomiaCore {
 
  private:
   using OpsBuffer = std::variant<ordbuf::PartitionRunBuffer<OpRecord>,
-                                 ordbuf::RbTreeBuffer<OpRecord>,
-                                 ordbuf::AvlBuffer<OpRecord>>;
+                                 ordbuf::RbTreeBuffer<OpRecord>>;
 
   static OpsBuffer MakeBuffer(ordbuf::Backend backend, std::uint32_t num_partitions,
                               std::uint32_t first_partition);

@@ -475,11 +475,11 @@ void EunomiaService::MergeLoop() {
       emit.erase(emit.begin(), first_kept);
     }
     if (!emit.empty()) {
-      ops_stabilized_.fetch_add(emit.size(), std::memory_order_relaxed);
+      fanout_.Emit(emit);
+      ops_stabilized_.fetch_add(emit.size(), std::memory_order_release);
       if (telemetry_) {
         telemetry_->ops_stabilized->Add(emit.size());
       }
-      fanout_.Emit(emit);
       if (wal_) {
         // Advance the durable frontier; periodically snapshots the mark and
         // compacts the logs (merge thread only — appends keep flowing, they
@@ -687,8 +687,8 @@ void FtEunomiaService::ReplicaLoop(std::uint32_t replica_id) {
         }
       }
       if (result.emitted > 0) {
-        ops_stabilized_.fetch_add(result.emitted, std::memory_order_relaxed);
         fanout_.Emit(stable_ops);
+        ops_stabilized_.fetch_add(result.emitted, std::memory_order_release);
       }
     }
     SleepMicros(options_.stable_period_us);

@@ -146,8 +146,10 @@ class EunomiaService {
   // stop allocating a new vector per batch interval.
   std::vector<OpRecord> AcquireBatchBuffer();
 
+  // Counted after the sink ran: seeing n here means the sink has been
+  // handed the first n stable ops.
   std::uint64_t ops_stabilized() const {
-    return ops_stabilized_.load(std::memory_order_relaxed);
+    return ops_stabilized_.load(std::memory_order_acquire);
   }
   std::uint64_t ops_submitted() const {
     return ops_submitted_.load(std::memory_order_relaxed);
@@ -313,8 +315,10 @@ class FtEunomiaService {
   bool AnyReplicaAlive() const;
   std::optional<std::uint32_t> CurrentLeader() const;
 
+  // Counted after the sink ran: seeing n here means the sink has been
+  // handed the first n stable ops.
   std::uint64_t ops_stabilized() const {
-    return ops_stabilized_.load(std::memory_order_relaxed);
+    return ops_stabilized_.load(std::memory_order_acquire);
   }
 
  private:

@@ -264,7 +264,7 @@ NemesisReport RunNemesisSchedule(const NemesisOptions& options) {
         // Private-key write: the next read-your-writes obligation.
         const std::uint64_t seq = ++c.seq;
         cluster.runtime(c.dc)->ClientUpdate(
-            c.id, c.private_key, "s" + std::to_string(seq),
+            c.id, c.private_key, std::string("s").append(std::to_string(seq)),
             [&clients, &updates_acked, ci, seq] {
               ClientState& cc = clients[ci];
               cc.in_flight = false;
@@ -275,7 +275,8 @@ NemesisReport RunNemesisSchedule(const NemesisOptions& options) {
         // Shared-key write: cross-DC conflicts for the convergence oracle.
         const Key key = c.rng.NextBounded(kSharedKeys);
         cluster.runtime(c.dc)->ClientUpdate(
-            c.id, key, "v" + std::to_string(c.rng.NextBounded(1000)),
+            c.id, key,
+            std::string("v").append(std::to_string(c.rng.NextBounded(1000))),
             [&clients, &updates_acked, ci] {
               clients[ci].in_flight = false;
               ++updates_acked;

@@ -20,7 +20,6 @@
 #include <utility>
 
 #include "src/net/net_metrics.h"
-#include "src/net/tcp_transport.h"
 
 namespace eunomia::net {
 
@@ -677,31 +676,6 @@ void EpollTransport::Shutdown() {
   for (const auto& loop : loops_) {
     loop->Stop();
   }
-}
-
-// --- backend selection (the --io flag) ---------------------------------------
-
-bool ParseTcpBackend(const std::string& name, TcpBackend* out) {
-  if (name == "epoll") {
-    *out = TcpBackend::kEpoll;
-    return true;
-  }
-  if (name == "threaded") {
-    *out = TcpBackend::kThreaded;
-    return true;
-  }
-  return false;
-}
-
-const char* TcpBackendName(TcpBackend backend) {
-  return backend == TcpBackend::kEpoll ? "epoll" : "threaded";
-}
-
-std::unique_ptr<Transport> MakeTcpTransport(TcpBackend backend) {
-  if (backend == TcpBackend::kThreaded) {
-    return std::make_unique<TcpTransport>();
-  }
-  return std::make_unique<EpollTransport>();
 }
 
 }  // namespace eunomia::net

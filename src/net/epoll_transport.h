@@ -1,5 +1,4 @@
-// EpollTransport: the async event-loop TCP backend (the default; the
-// thread-pair-per-connection TcpTransport remains as --io=threaded).
+// EpollTransport: the TCP backend — real sockets on an async event loop.
 //
 // A small pool of IoLoop threads owns every socket: the listener accepts on
 // loop 0, accepted/dialed connections are assigned round-robin, and all of a
@@ -16,6 +15,13 @@
 // over capacity, so a peer that stops reading our acks eventually stops
 // getting its frames processed: boundedness via TCP's own window instead of
 // a blocked loop.
+//
+// Addresses are "ipv4:port" strings; Listen("127.0.0.1:0") binds an
+// ephemeral port and returns the concrete "127.0.0.1:41873" form. TCP_NODELAY
+// is set on every socket: the protocol already batches at the partition
+// (~1 ms, §6), Nagle would only add latency on top. A connection's fd is
+// closed on its loop as soon as both directions are done, so a closed
+// connection holds no fd even while the transport sits idle.
 //
 // Same session contract as every backend: FIFO frames, on_frame/on_close
 // from one thread (the owning loop), on_close exactly once, handler dropped
@@ -75,18 +81,5 @@ class EpollTransport : public Transport {
   std::unique_ptr<Listener> listener_ GUARDED_BY(mu_);
   std::vector<std::shared_ptr<Conn>> connections_ GUARDED_BY(mu_);
 };
-
-// --- backend selection (the --io flag) ---------------------------------------
-
-enum class TcpBackend {
-  kEpoll,     // event-loop pool (default)
-  kThreaded,  // reader+writer thread pair per connection
-};
-
-// Parses an --io flag value ("epoll" | "threaded"). Returns false on
-// anything else.
-bool ParseTcpBackend(const std::string& name, TcpBackend* out);
-const char* TcpBackendName(TcpBackend backend);
-std::unique_ptr<Transport> MakeTcpTransport(TcpBackend backend);
 
 }  // namespace eunomia::net

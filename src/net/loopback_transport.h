@@ -3,7 +3,8 @@
 // Listeners are names in a per-transport registry; Dial pairs two
 // connection endpoints whose outbound frames land in the peer's bounded
 // inbox (a queue of encoded frames) and are drained by one delivery thread
-// per endpoint — the same thread-per-connection shape as TcpTransport, so
+// per endpoint. The session contract is the same as EpollTransport's (one
+// callback thread per connection, FIFO frames, blocking backpressure), so
 // code written against loopback behaves identically on sockets, minus the
 // kernel. Every frame still round-trips through the wire encoder and the
 // session decoder, so framing, checksums and FIFO sequence enforcement are

@@ -7,9 +7,8 @@
 //   - LoopbackTransport: in-process bounded queues plus one delivery thread
 //     per connection side. Deterministic, no sockets — the backend tests and
 //     simulator-adjacent code use it.
-//   - TcpTransport: real sockets on a reactor-per-connection model (one
-//     reader + one writer thread per connection), length-prefixed frames,
-//     TCP_NODELAY.
+//   - EpollTransport: real sockets on a small pool of epoll event loops,
+//     length-prefixed frames coalesced into writev batches, TCP_NODELAY.
 //
 // Both backends push every transmitted byte through the wire-format
 // encoder/decoder (src/net/wire.h), so the framing, checksum and session

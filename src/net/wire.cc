@@ -1,9 +1,8 @@
 #include "src/net/wire.h"
 
-#include <array>
 #include <cassert>
-#include <cstring>
 
+#include "src/common/crc32.h"
 #include "src/net/wire_io.h"
 
 namespace eunomia::net::wire {
@@ -58,33 +57,6 @@ bool ReadOps(PayloadReader* reader, std::uint32_t count,
   return true;
 }
 
-// Slice-by-16 tables: table[0] is the classic byte-at-a-time CRC-32 table
-// (polynomial 0xEDB88320); table[j][b] gives the CRC contribution of byte b
-// placed j positions ahead, so sixteen input bytes fold into the
-// accumulator with sixteen independent lookups per iteration — two 8-byte
-// halves with no serial dependency between them — instead of a dependency
-// chain per byte. Same polynomial, bit-identical results — only the
-// throughput changes (the frame path checksums every payload byte in both
-// directions, so this is the transport's hottest loop).
-std::array<std::array<std::uint32_t, 256>, 16> MakeCrcTables() {
-  std::array<std::array<std::uint32_t, 256>, 16> tables{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    }
-    tables[0][i] = c;
-  }
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = tables[0][i];
-    for (std::size_t j = 1; j < 16; ++j) {
-      c = tables[0][c & 0xffu] ^ (c >> 8);
-      tables[j][i] = c;
-    }
-  }
-  return tables;
-}
-
 }  // namespace
 
 const char* MsgTypeName(MsgType type) {
@@ -120,37 +92,6 @@ const char* WireErrorName(WireError error) {
     case WireError::kMalformedPayload: return "malformed_payload";
   }
   return "unknown";
-}
-
-std::uint32_t Crc32(const void* data, std::size_t size) {
-  static const std::array<std::array<std::uint32_t, 256>, 16> tables =
-      MakeCrcTables();
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t crc = 0xFFFFFFFFu;
-  while (size >= 16) {
-    // Little-endian fold: the running CRC mixes into the first 8-byte
-    // chunk; the second chunk's lookups are fully independent of it, so
-    // the two halves overlap in the pipeline.
-    std::uint64_t a;
-    std::uint64_t b;
-    std::memcpy(&a, p, sizeof(a));
-    std::memcpy(&b, p + 8, sizeof(b));
-    a ^= crc;
-    crc = tables[15][a & 0xffu] ^ tables[14][(a >> 8) & 0xffu] ^
-          tables[13][(a >> 16) & 0xffu] ^ tables[12][(a >> 24) & 0xffu] ^
-          tables[11][(a >> 32) & 0xffu] ^ tables[10][(a >> 40) & 0xffu] ^
-          tables[9][(a >> 48) & 0xffu] ^ tables[8][a >> 56] ^
-          tables[7][b & 0xffu] ^ tables[6][(b >> 8) & 0xffu] ^
-          tables[5][(b >> 16) & 0xffu] ^ tables[4][(b >> 24) & 0xffu] ^
-          tables[3][(b >> 32) & 0xffu] ^ tables[2][(b >> 40) & 0xffu] ^
-          tables[1][(b >> 48) & 0xffu] ^ tables[0][b >> 56];
-    p += 16;
-    size -= 16;
-  }
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = tables[0][(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
 }
 
 void EncodeFrame(MsgType type, std::uint64_t seq, std::string_view payload,

@@ -7,11 +7,11 @@
 // the global (ts, partition) order only has to be materialized at extraction
 // time. That observation admits a strictly cheaper layout — one append-only
 // ring buffer per partition plus a tournament merge over the P run heads —
-// which PartitionRunBuffer implements. The tree-backed buffers are kept as
-// selectable policies so the §6 design choice stays reproducible (ablation
-// A1) and so the semantics of the fast path can be pinned against them.
+// which PartitionRunBuffer implements. The paper's red-black tree is kept as
+// a selectable policy so the §6 design choice stays reproducible (ablation
+// A1) and so the semantics of the fast path can be pinned against it.
 //
-// OrderedBuffer concept (all three implementations satisfy it):
+// OrderedBuffer concept (both implementations satisfy it):
 //
 //   // Tracks partitions [first_partition, first_partition + num_partitions);
 //   // keys carry global partition ids.
@@ -44,7 +44,6 @@ namespace eunomia::ordbuf {
 enum class Backend {
   kPartitionRun,  // per-partition ring buffers + tournament-tree extraction
   kRbTree,        // the paper's §6 choice (src/rbtree/red_black_tree.h)
-  kAvl,           // the §6 also-ran (src/rbtree/avl_tree.h)
 };
 
 constexpr const char* BackendName(Backend backend) {
@@ -53,8 +52,6 @@ constexpr const char* BackendName(Backend backend) {
       return "partition_run";
     case Backend::kRbTree:
       return "rbtree";
-    case Backend::kAvl:
-      return "avl";
   }
   return "unknown";
 }

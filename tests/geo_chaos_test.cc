@@ -28,7 +28,7 @@
 #include "src/georep/runtime/chaos/nemesis.h"
 #include "src/georep/runtime/geo_node.h"
 #include "src/georep/runtime/geo_wire.h"
-#include "src/net/tcp_transport.h"
+#include "src/net/epoll_transport.h"
 #include "src/sim/simulator.h"
 
 namespace eunomia {
@@ -158,7 +158,9 @@ void ScheduleWrites(sim::Simulator* sim, chaos::ChaosCluster* cluster,
       }
       cluster->runtime(dc)->ClientUpdate(
           /*client=*/100 + dc, /*key=*/static_cast<Key>(i % 16),
-          "d" + std::to_string(dc) + "-i" + std::to_string(i), [] {});
+          std::string("d").append(std::to_string(dc)).append("-i").append(
+              std::to_string(i)),
+          [] {});
     });
   }
 }
@@ -394,7 +396,7 @@ TEST(GeoNodeTcp, ConnectPeerRetriesUntilPeerBoots) {
   GeoNode::Options options1 = options0;
   options1.dc = 1;
 
-  net::TcpTransport transport0;
+  net::EpollTransport transport0;
   GeoNode node0(&transport0, options0);
   ASSERT_FALSE(node0.Listen("127.0.0.1:0").empty());
 
@@ -402,18 +404,18 @@ TEST(GeoNodeTcp, ConnectPeerRetriesUntilPeerBoots) {
   // address nobody listens on yet.
   std::string addr1;
   {
-    net::TcpTransport probe;
+    net::EpollTransport probe;
     GeoNode ephemeral(&probe, options1);
     addr1 = ephemeral.Listen("127.0.0.1:0");
     ASSERT_FALSE(addr1.empty());
     ephemeral.Stop();
   }
 
-  std::unique_ptr<net::TcpTransport> transport1;
+  std::unique_ptr<net::EpollTransport> transport1;
   std::unique_ptr<GeoNode> node1;
   std::thread late_booter([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    transport1 = std::make_unique<net::TcpTransport>();
+    transport1 = std::make_unique<net::EpollTransport>();
     node1 = std::make_unique<GeoNode>(transport1.get(), options1);
     ASSERT_EQ(node1->Listen(addr1), addr1);
   });
@@ -443,8 +445,8 @@ TEST(GeoNodeTcp, PeerDeathReconnectCatchUp) {
   GeoNode::Options options1 = options0;
   options1.dc = 1;
 
-  auto transport0 = std::make_unique<net::TcpTransport>();
-  auto transport1 = std::make_unique<net::TcpTransport>();
+  auto transport0 = std::make_unique<net::EpollTransport>();
+  auto transport1 = std::make_unique<net::EpollTransport>();
   auto node0 = std::make_unique<GeoNode>(transport0.get(), options0);
   auto node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   const std::string addr0 = node0->Listen("127.0.0.1:0");
@@ -464,7 +466,7 @@ TEST(GeoNodeTcp, PeerDeathReconnectCatchUp) {
       return;
     }
     writer->ClientUpdate(100, static_cast<Key>(i % 32),
-                         "v" + std::to_string(i),
+                         std::string("v").append(std::to_string(i)),
                          [issue, i] { (*issue)(i + 1); });
   };
   (*issue)(0);
@@ -474,7 +476,7 @@ TEST(GeoNodeTcp, PeerDeathReconnectCatchUp) {
   transport1.reset();
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
-  transport1 = std::make_unique<net::TcpTransport>();
+  transport1 = std::make_unique<net::EpollTransport>();
   node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   ASSERT_EQ(node1->Listen(addr1), addr1) << "could not rebind after reboot";
   ASSERT_TRUE(node1->ConnectPeer(0, addr0));

@@ -26,7 +26,7 @@
 #include "src/georep/runtime/durability.h"
 #include "src/georep/runtime/geo_node.h"
 #include "src/georep/runtime/geo_wire.h"
-#include "src/net/tcp_transport.h"
+#include "src/net/epoll_transport.h"
 #include "src/sim/simulator.h"
 #include "src/wal/disk.h"
 #include "src/wal/log_writer.h"
@@ -86,7 +86,9 @@ void ScheduleWrites(sim::Simulator* sim, chaos::ChaosCluster* cluster,
       }
       cluster->runtime(dc)->ClientUpdate(
           /*client=*/100 + dc, /*key=*/static_cast<Key>(i % 16),
-          "d" + std::to_string(dc) + "-i" + std::to_string(i), [] {});
+          std::string("d").append(std::to_string(dc)).append("-i").append(
+              std::to_string(i)),
+          [] {});
     });
   }
 }
@@ -265,8 +267,8 @@ TEST(GeoNodeTcpDurable, KillRestartOnSurvivingDiskConvergesAndTruncates) {
   options1.dc = 1;
   options1.durability_disk = &disk1;
 
-  auto transport0 = std::make_unique<net::TcpTransport>();
-  auto transport1 = std::make_unique<net::TcpTransport>();
+  auto transport0 = std::make_unique<net::EpollTransport>();
+  auto transport1 = std::make_unique<net::EpollTransport>();
   auto node0 = std::make_unique<GeoNode>(transport0.get(), options0);
   auto node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   const std::string addr0 = node0->Listen("127.0.0.1:0");
@@ -286,7 +288,7 @@ TEST(GeoNodeTcpDurable, KillRestartOnSurvivingDiskConvergesAndTruncates) {
       return;
     }
     writer->ClientUpdate(100, static_cast<Key>(i % 32),
-                         "v" + std::to_string(i),
+                         std::string("v").append(std::to_string(i)),
                          [issue, i] { (*issue)(i + 1); });
   };
   (*issue)(0);
@@ -312,7 +314,7 @@ TEST(GeoNodeTcpDurable, KillRestartOnSurvivingDiskConvergesAndTruncates) {
   disk1.Crash();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
-  transport1 = std::make_unique<net::TcpTransport>();
+  transport1 = std::make_unique<net::EpollTransport>();
   node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   ASSERT_EQ(node1->Listen(addr1), addr1) << "could not rebind after reboot";
   ASSERT_TRUE(node1->ConnectPeer(0, addr0));

@@ -19,10 +19,10 @@
 #include <thread>
 #include <vector>
 
+#include "src/net/epoll_transport.h"
 #include "src/net/eunomia_client.h"
 #include "src/net/eunomia_server.h"
 #include "src/net/loopback_transport.h"
-#include "src/net/tcp_transport.h"
 
 namespace eunomia::net {
 namespace {
@@ -150,7 +150,7 @@ TEST(NetE2eTest, LoopbackSubmitStabilizeSubscribe) {
 }
 
 TEST(NetE2eTest, TcpSubmitStabilizeSubscribe) {
-  TcpTransport transport;
+  EpollTransport transport;
   const WorkloadResult result =
       RunInterleavedWorkload(transport, "127.0.0.1:0");
   ASSERT_TRUE(result.ok);
@@ -165,7 +165,7 @@ TEST(NetE2eTest, TcpSubmitStabilizeSubscribe) {
 TEST(NetE2eTest, TcpStableStreamBitForBitMatchesLoopback) {
   WorkloadResult tcp_result;
   {
-    TcpTransport transport;
+    EpollTransport transport;
     tcp_result = RunInterleavedWorkload(transport, "127.0.0.1:0");
   }
   WorkloadResult loopback_result;
@@ -257,7 +257,7 @@ TEST(NetE2eTest, FrameBeforeHelloIsRejected) {
 // A raw TCP peer spraying garbage must be detected by the frame decoder and
 // disconnected — never crash the server or corrupt the service.
 TEST(NetE2eTest, GarbageBytesOverTcpAreRejected) {
-  TcpTransport transport;
+  EpollTransport transport;
   EunomiaServer::Options options;
   options.num_partitions = 1;
   EunomiaServer server(&transport, options);
@@ -377,38 +377,6 @@ TEST(NetE2eTest, OversizedBatchesAreChunkedIntoMultipleFrames) {
   subscriber.Close();
   client.Close();
   server.Stop();
-}
-
-// Regression (PR 10 satellite): finished connections must be reaped even
-// when the accept path goes quiet afterwards. A burst of client churn
-// followed by idleness must not leave dead fds/threads tracked until
-// Shutdown — the periodic idle reaper bounds their lifetime.
-TEST(TcpTransportTest, IdleReapReleasesChurnedConnections) {
-  TcpTransport transport(/*idle_reap_period=*/std::chrono::milliseconds(50));
-  std::atomic<int> closes{0};
-  Transport::AcceptHandler accept = [&](const std::shared_ptr<Connection>&) {
-    ConnectionHandler handler;
-    handler.on_close = [&](Connection&, wire::WireError) {
-      closes.fetch_add(1);
-    };
-    return handler;
-  };
-  const std::string address = transport.Listen("127.0.0.1:0", accept);
-  ASSERT_FALSE(address.empty());
-  constexpr int kChurn = 8;
-  for (int i = 0; i < kChurn; ++i) {
-    auto connection = transport.Dial(address, {});
-    ASSERT_NE(connection, nullptr);
-    ASSERT_TRUE(connection->SendFrame(wire::MsgType::kHeartbeat, "hi"));
-    connection->Close();
-  }
-  ASSERT_TRUE(WaitUntil([&] { return closes.load() == kChurn; }));
-  // No accepts or dials happen from here on: only the idle reaper can
-  // shrink the registry. Both sides of every churned connection (dialed +
-  // accepted) must go away; nothing live remains.
-  EXPECT_TRUE(WaitUntil([&] { return transport.tracked_connections() == 0; },
-                        std::chrono::seconds(5)));
-  transport.Shutdown();
 }
 
 TEST(NetE2eTest, FtServerStabilizesOverLoopback) {

@@ -1,5 +1,5 @@
 // Pins the semantics of the ordered-buffer fast path: an EunomiaCore backed
-// by PartitionRunBuffer (and by AvlBuffer) must emit a bit-for-bit identical
+// by PartitionRunBuffer must emit a bit-for-bit identical
 // sequence to the paper's red-black-tree core under randomized workloads —
 // skewed partitions, heartbeat-only partitions, duplicate/non-monotone
 // drops, ForceExtractUpTo — and the backend choice must thread through the
@@ -20,9 +20,8 @@
 namespace eunomia {
 namespace {
 
-constexpr ordbuf::Backend kAllBackends[] = {
-    ordbuf::Backend::kRbTree, ordbuf::Backend::kAvl,
-    ordbuf::Backend::kPartitionRun};
+constexpr ordbuf::Backend kAllBackends[] = {ordbuf::Backend::kRbTree,
+                                            ordbuf::Backend::kPartitionRun};
 
 void ExpectSameObservableState(const EunomiaCore& reference,
                                const EunomiaCore& candidate) {
@@ -51,10 +50,9 @@ TEST(OrderedBufferEquivalenceTest, EmissionIsBitForBitIdenticalAcrossBackends) {
     const std::uint32_t first_partition =
         static_cast<std::uint32_t>(rng.NextBounded(3)) * 16;
     EunomiaCore rbtree(partitions, first_partition, ordbuf::Backend::kRbTree);
-    EunomiaCore avl(partitions, first_partition, ordbuf::Backend::kAvl);
     EunomiaCore runs(partitions, first_partition,
                      ordbuf::Backend::kPartitionRun);
-    EunomiaCore* cores[] = {&rbtree, &avl, &runs};
+    EunomiaCore* cores[] = {&rbtree, &runs};
 
     // A random subset of partitions is heartbeat-only: their streams move
     // PartitionTime without ever buffering ops (idle partitions, §3.2).
@@ -92,7 +90,6 @@ TEST(OrderedBufferEquivalenceTest, EmissionIsBitForBitIdenticalAcrossBackends) {
           }
         } else {
           const std::size_t accepted = rbtree.AddBatch(batch);
-          ASSERT_EQ(avl.AddBatch(batch), accepted);
           ASSERT_EQ(runs.AddBatch(batch), accepted);
         }
       } else if (action < 75) {
@@ -102,26 +99,21 @@ TEST(OrderedBufferEquivalenceTest, EmissionIsBitForBitIdenticalAcrossBackends) {
         }
       } else if (action < 90) {
         std::vector<OpRecord> expect;
+        std::vector<OpRecord> got;
         const std::size_t n = rbtree.ProcessStable(&expect);
-        for (EunomiaCore* core : {&avl, &runs}) {
-          std::vector<OpRecord> got;
-          ASSERT_EQ(core->ProcessStable(&got), n);
-          ASSERT_EQ(got, expect) << "trial " << trial << " step " << step;
-        }
+        ASSERT_EQ(runs.ProcessStable(&got), n);
+        ASSERT_EQ(got, expect) << "trial " << trial << " step " << step;
       } else {
         // The follower path: the (simulated) leader's notice may exceed the
         // local StableTime — it extracts past silent partitions.
         const Timestamp bound =
             rbtree.StableTime() + rng.NextBounded(2000);
         std::vector<OpRecord> expect;
+        std::vector<OpRecord> got;
         const std::size_t n = rbtree.ForceExtractUpTo(bound, &expect);
-        for (EunomiaCore* core : {&avl, &runs}) {
-          std::vector<OpRecord> got;
-          ASSERT_EQ(core->ForceExtractUpTo(bound, &got), n);
-          ASSERT_EQ(got, expect) << "trial " << trial << " step " << step;
-        }
+        ASSERT_EQ(runs.ForceExtractUpTo(bound, &got), n);
+        ASSERT_EQ(got, expect) << "trial " << trial << " step " << step;
       }
-      ExpectSameObservableState(rbtree, avl);
       ExpectSameObservableState(rbtree, runs);
     }
 
@@ -132,13 +124,11 @@ TEST(OrderedBufferEquivalenceTest, EmissionIsBitForBitIdenticalAcrossBackends) {
       }
     }
     std::vector<OpRecord> expect;
+    std::vector<OpRecord> got;
     rbtree.ProcessStable(&expect);
-    for (EunomiaCore* core : {&avl, &runs}) {
-      std::vector<OpRecord> got;
-      core->ProcessStable(&got);
-      ASSERT_EQ(got, expect);
-      ASSERT_EQ(core->pending_ops(), 0u);
-    }
+    runs.ProcessStable(&got);
+    ASSERT_EQ(got, expect);
+    ASSERT_EQ(runs.pending_ops(), 0u);
   }
 }
 
@@ -182,7 +172,6 @@ TEST(OrderedBufferEquivalenceTest, ServiceEmitsIdenticalSequencePerBackend) {
     emissions.push_back(std::move(emitted));
   }
   EXPECT_EQ(emissions[0], emissions[1]);
-  EXPECT_EQ(emissions[0], emissions[2]);
 }
 
 // Options::buffer_backend must reach the FT replicas, and the shared-batch

@@ -1,7 +1,7 @@
 // Tests for the ordered-buffer policy layer (src/ordbuf/): the tournament
-// structures, and a shared parameterized suite run against all three
+// structures, and a shared parameterized suite run against both
 // OrderedBuffer implementations — the run-queue fast path must be
-// observationally identical to the tree-backed buffers.
+// observationally identical to the tree-backed buffer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 
 #include "src/common/random.h"
 #include "src/eunomia/op.h"
-#include "src/ordbuf/avl_buffer.h"
 #include "src/ordbuf/min_tournament.h"
 #include "src/ordbuf/ordered_buffer.h"
 #include "src/ordbuf/partition_run_buffer.h"
@@ -137,8 +136,7 @@ template <typename Buffer>
 class OrderedBufferPolicyTest : public ::testing::Test {};
 
 using BufferTypes = ::testing::Types<PartitionRunBuffer<std::uint64_t>,
-                                     RbTreeBuffer<std::uint64_t>,
-                                     AvlBuffer<std::uint64_t>>;
+                                     RbTreeBuffer<std::uint64_t>>;
 TYPED_TEST_SUITE(OrderedBufferPolicyTest, BufferTypes);
 
 using Extracted = std::vector<std::pair<OpOrderKey, std::uint64_t>>;

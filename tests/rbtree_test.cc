@@ -1,7 +1,7 @@
 // Unit and property tests for the ordered-buffer substrates: the custom
-// red-black tree (the paper's §6 data-structure choice) and the AVL tree.
-// Both are exercised through the same typed test suite, plus randomized
-// invariant checks after every mutation batch.
+// red-black tree (the paper's §6 data-structure choice), exercised through a
+// typed test suite plus randomized invariant checks after every mutation
+// batch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/rbtree/avl_tree.h"
 #include "src/rbtree/red_black_tree.h"
 
 namespace eunomia {
@@ -19,8 +18,7 @@ namespace {
 template <typename Tree>
 class OrderedBufferTest : public ::testing::Test {};
 
-using TreeTypes =
-    ::testing::Types<RedBlackTree<int, int>, AvlTree<int, int>>;
+using TreeTypes = ::testing::Types<RedBlackTree<int, int>>;
 TYPED_TEST_SUITE(OrderedBufferTest, TreeTypes);
 
 TYPED_TEST(OrderedBufferTest, EmptyTree) {

@@ -112,7 +112,8 @@ TEST(MultiVersionStoreTest, LocalVersionsAlwaysVisible) {
 TEST(MultiVersionStoreTest, TrimKeepsNewestVisibleAndNewer) {
   MultiVersionStore<TestStamp> store;
   for (Timestamp t = 10; t <= 50; t += 10) {
-    store.Put(7, "v" + std::to_string(t), TestStamp{t}, 1, false);
+    store.Put(7, std::string("v").append(std::to_string(t)), TestStamp{t}, 1,
+              false);
   }
   EXPECT_EQ(store.ChainLength(7), 5u);
   // GST = 30: versions 10 and 20 are dominated by visible 30 — removable.

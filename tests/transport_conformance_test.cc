@@ -1,9 +1,9 @@
 // Transport conformance suite: one matrix of backend-agnostic contract
 // tests (handshake, FIFO delivery, backpressure, max-size frames, batch
 // chunking, garbage rejection, stop-under-fire, close semantics) run
-// against every Transport implementation — loopback, the threaded TCP
-// backend, and the epoll event-loop backend. A new backend passes this
-// suite or it does not ship.
+// against every Transport implementation — loopback and the epoll
+// event-loop TCP backend. A new backend passes this suite or it does not
+// ship.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,7 +25,6 @@
 #include "src/net/eunomia_client.h"
 #include "src/net/eunomia_server.h"
 #include "src/net/loopback_transport.h"
-#include "src/net/tcp_transport.h"
 
 namespace eunomia::net {
 namespace {
@@ -43,7 +43,9 @@ bool WaitUntil(const std::function<bool()>& predicate,
   return predicate();
 }
 
-enum class Backend { kLoopback, kThreadedTcp, kEpollTcp };
+// The values are part of the parameter bytes gtest prints into the test
+// names; keep them stable.
+enum class Backend { kLoopback = 0, kEpollTcp = 2 };
 
 struct BackendParam {
   Backend backend;
@@ -56,8 +58,6 @@ class TransportConformanceTest : public ::testing::TestWithParam<BackendParam> {
     switch (GetParam().backend) {
       case Backend::kLoopback:
         return std::make_unique<LoopbackTransport>();
-      case Backend::kThreadedTcp:
-        return std::make_unique<TcpTransport>();
       case Backend::kEpollTcp:
         return std::make_unique<EpollTransport>();
     }
@@ -370,14 +370,67 @@ TEST_P(TransportConformanceTest, CloseSemantics) {
                         std::chrono::seconds(5)));
 }
 
+std::string ParamName(const ::testing::TestParamInfo<BackendParam>& info) {
+  return info.param.name;
+}
+
+constexpr BackendParam kEpollTcpParam{Backend::kEpollTcp, "epoll_tcp"};
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, TransportConformanceTest,
     ::testing::Values(BackendParam{Backend::kLoopback, "loopback"},
-                      BackendParam{Backend::kThreadedTcp, "threaded_tcp"},
-                      BackendParam{Backend::kEpollTcp, "epoll_tcp"}),
-    [](const ::testing::TestParamInfo<BackendParam>& info) {
-      return std::string(info.param.name);
-    });
+                      kEpollTcpParam),
+    ParamName);
+
+// Cases that only mean something for socket-backed transports.
+class TcpConformanceTest : public TransportConformanceTest {};
+
+std::size_t OpenFdCount() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+// Connection churn followed by idleness: every closed connection gives its
+// socket back without waiting for a later accept or dial (the paths that
+// prune the transport's registry), so a quiet listener does not hold dead
+// fds until Shutdown.
+TEST_P(TcpConformanceTest, ClosedConnectionsReleaseFdsWhileIdle) {
+  std::atomic<int> closes{0};
+  auto count_close = [&closes](Connection&, wire::WireError) {
+    closes.fetch_add(1);
+  };
+  auto transport = MakeTransport();
+  Transport::AcceptHandler accept = [&](const std::shared_ptr<Connection>&) {
+    ConnectionHandler handler;
+    handler.on_close = count_close;
+    return handler;
+  };
+  const std::string address = transport->Listen(ListenAddress(), accept);
+  ASSERT_FALSE(address.empty());
+  const std::size_t fds_before = OpenFdCount();
+  constexpr int kChurn = 8;
+  for (int i = 0; i < kChurn; ++i) {
+    ConnectionHandler dial_handler;
+    dial_handler.on_close = count_close;
+    auto connection = transport->Dial(address, std::move(dial_handler));
+    ASSERT_NE(connection, nullptr);
+    ASSERT_TRUE(connection->SendFrame(wire::MsgType::kHeartbeat, "hi"));
+    connection->Close();
+  }
+  // Both ends of every churned connection (dialed + accepted) closed.
+  ASSERT_TRUE(WaitUntil([&] { return closes.load() == 2 * kChurn; }));
+  EXPECT_TRUE(WaitUntil([&] { return OpenFdCount() == fds_before; },
+                        std::chrono::seconds(5)))
+      << "open fds: " << OpenFdCount() << ", before the churn: " << fds_before;
+  transport->Shutdown();
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, TcpConformanceTest,
+                         ::testing::Values(kEpollTcpParam), ParamName);
 
 }  // namespace
 }  // namespace eunomia::net

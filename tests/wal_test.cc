@@ -14,10 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/crc32.h"
 #include "src/common/random.h"
 #include "src/eunomia/service.h"
 #include "src/eunomia/service_wal.h"
 #include "src/net/wire.h"
+#include "src/net/wire_io.h"
 #include "src/wal/disk.h"
 #include "src/wal/log.h"
 #include "src/wal/log_writer.h"
@@ -50,12 +52,24 @@ TEST(WalLog, RoundTripsRecords) {
 }
 
 TEST(WalLog, CrcMatchesWireCrc) {
-  // The WAL keeps its own CRC-32 (the wire one lives in a library that
-  // links after wal); this pin keeps the two from ever diverging.
+  // WAL records and wire frames share one CRC-32 (src/common/crc32.h). The
+  // WAL checksum covers the type byte then the payload; the wire checksum
+  // covers the payload alone. Pin both stored fields to the shared function
+  // so the two layers can never drift onto different checksums.
   const std::string samples[] = {"", "a", "hello wal", std::string(4096, 7)};
   for (const std::string& s : samples) {
-    EXPECT_EQ(wal::Crc32(s.data(), s.size()),
-              net::wire::Crc32(s.data(), s.size()));
+    const std::uint8_t type = 9;
+    std::string record;
+    wal::AppendRecord(&record, type, s);
+    std::string covered(1, static_cast<char>(type));
+    covered += s;
+    EXPECT_EQ(net::wire::io::GetU32(record.data() + 12),
+              Crc32(covered.data(), covered.size()));
+
+    std::string frame;
+    net::wire::EncodeFrame(net::wire::MsgType::kHello, 1, s, &frame);
+    EXPECT_EQ(net::wire::io::GetU32(frame.data() + 12),
+              Crc32(s.data(), s.size()));
   }
 }
 
@@ -335,8 +349,10 @@ TEST(LogWriter, ThreadedPerCommitGroupCommitsConcurrentAppends) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&writer, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        ASSERT_TRUE(writer.Append(
-            1, "t" + std::to_string(t) + "-" + std::to_string(i)));
+        ASSERT_TRUE(writer.Append(1, std::string("t")
+                                         .append(std::to_string(t))
+                                         .append("-")
+                                         .append(std::to_string(i))));
       }
     });
   }

@@ -9,8 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "src/common/crc32.h"
 #include "src/common/random.h"
 #include "src/net/wire.h"
+#include "src/net/wire_io.h"
 
 namespace eunomia::net::wire {
 namespace {
@@ -300,8 +302,11 @@ TEST(WireTest, FrameBodyBuildersMatchEncodeFrame) {
 
 TEST(WireTest, CrcMatchesKnownVector) {
   // The zlib CRC-32 of "123456789" is the classic 0xCBF43926 check value —
-  // pins the polynomial and bit order against accidental change.
+  // pins the polynomial and bit order of the checksum a frame carries.
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  const std::string frame = EncodeOneFrame(MsgType::kHello, 1, "123456789");
+  ASSERT_EQ(frame.size(), kHeaderBytes + 9);
+  EXPECT_EQ(io::GetU32(frame.data() + 12), 0xCBF43926u);
 }
 
 }  // namespace
