@@ -42,10 +42,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "bench/flags.h"
 #include "bench/net_driver.h"
 #include "bench/service_driver.h"
@@ -245,11 +247,8 @@ struct ScanPoint {
   double ops_per_sec;
   // "inproc" for direct SubmitBatch calls, else the net transport used.
   const char* transport = "inproc";
-  double ack_mean_us = -1.0;  // mean batch-ack round trip; < 0 = n/a
-  // Batch-ack round-trip percentiles (bucket upper bounds); < 0 = n/a.
-  double ack_p50_us = -1.0;
-  double ack_p95_us = -1.0;
-  double ack_p99_us = -1.0;
+  // Batch-ack round trips (transport runs only).
+  std::optional<metrics::Histogram::Snapshot> ack_us = {};
   // True for the below-capacity paced run (1 ms batch pacing) whose ack
   // percentiles measure latency rather than saturation queueing.
   bool paced = false;
@@ -257,47 +256,32 @@ struct ScanPoint {
 
 // The machine-readable perf-trajectory artifact CI archives on every push:
 // stabilized throughput per (buffer backend, shard count).
-void WriteBenchJson(const char* path, bool smoke,
-                    const std::vector<ScanPoint>& points,
-                    const bench::FixedLoad& load) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not write %s\n", path);
-    return;
+void WriteScanJson(bool smoke, const std::vector<ScanPoint>& points,
+                   const bench::FixedLoad& load) {
+  bench::BenchJson json("fig2_service_throughput", smoke);
+  json.header()
+      .Str("default_backend",
+           ordbuf::BackendName(ordbuf::Backend::kPartitionRun))
+      .Int("num_partitions", load.num_partitions)
+      .Int("ops_per_partition", load.ops_per_partition);
+  for (const ScanPoint& point : points) {
+    bench::JsonFields& row = json.AddRow();
+    row.Str("backend", ordbuf::BackendName(point.backend))
+        .Int("shards", point.shards)
+        .Str("transport", point.transport)
+        .Num("mops_per_s", point.ops_per_sec / 1e6, 3);
+    if (point.ack_us) {
+      row.Num("ack_mean_us", point.ack_us->Mean(), 1);
+      for (const int p : {50, 95, 99}) {
+        row.Num("ack_p" + std::to_string(p) + "_us",
+                static_cast<double>(point.ack_us->Percentile(p)), 1);
+      }
+    }
+    if (point.paced) {
+      row.Bool("paced", true);
+    }
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"figure\": \"fig2_service_throughput\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"default_backend\": \"%s\",\n",
-               ordbuf::BackendName(ordbuf::Backend::kPartitionRun));
-  std::fprintf(f, "  \"num_partitions\": %u,\n", load.num_partitions);
-  std::fprintf(f, "  \"ops_per_partition\": %llu,\n",
-               static_cast<unsigned long long>(load.ops_per_partition));
-  std::fprintf(f, "  \"series\": [\n");
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"backend\": \"%s\", \"shards\": %u, "
-                 "\"transport\": \"%s\", \"mops_per_s\": %.3f",
-                 ordbuf::BackendName(points[i].backend), points[i].shards,
-                 points[i].transport, points[i].ops_per_sec / 1e6);
-    if (points[i].ack_mean_us >= 0.0) {
-      std::fprintf(f, ", \"ack_mean_us\": %.1f", points[i].ack_mean_us);
-    }
-    if (points[i].ack_p50_us >= 0.0) {
-      std::fprintf(f,
-                   ", \"ack_p50_us\": %.1f, \"ack_p95_us\": %.1f, "
-                   "\"ack_p99_us\": %.1f",
-                   points[i].ack_p50_us, points[i].ack_p95_us,
-                   points[i].ack_p99_us);
-    }
-    if (points[i].paced) {
-      std::fprintf(f, ", \"paced\": true");
-    }
-    std::fprintf(f, "}%s\n", i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu scan points)\n", path, points.size());
+  json.Write("BENCH_fig2.json");
 }
 
 bench::FixedLoad MakeScanLoad(bool smoke) {
@@ -343,7 +327,7 @@ bool RunShardScan(bool smoke, std::vector<ScanPoint>* points) {
       if (backend == ordbuf::Backend::kPartitionRun && shards == 1) {
         runqueue_1shard = rate;
       }
-      points->push_back({backend, shards, rate, "inproc", -1.0});
+      points->push_back({backend, shards, rate});
       table.AddRow({ordbuf::BackendName(backend), Table::Num(shards, 0),
                     Table::Num(rate / 1000.0, 0),
                     rbtree_1shard > 0
@@ -399,13 +383,32 @@ bool RunTransportScan(const std::string& kind, bool smoke,
   if (kind == "tcp") {
     metrics_address = metrics_server.Start("127.0.0.1:0");
   }
-  for (const std::uint32_t shards : shard_counts) {
-    // Fresh transport per run: EunomiaServer::Stop shuts its transport down.
+  // One run through a fresh transport (EunomiaServer::Stop shuts its
+  // transport down), appended to `points`.
+  const auto measure = [&](std::uint32_t shards, const bench::FixedLoad& run_load,
+                           bool paced) -> const ScanPoint& {
     bench::TransportRunResult result;
     if (kind == "tcp") {
       net::EpollTransport transport;
-      std::atomic<bool> done{false};
-      std::thread scraper([&metrics_address, &last_scrape, &done] {
+      result = bench::MeasureTransportThroughput(
+          transport, "127.0.0.1:0", shards, run_load, 200,
+          ordbuf::Backend::kPartitionRun, &metrics::Registry::Default());
+    } else {
+      net::LoopbackTransport transport;
+      result = bench::MeasureTransportThroughput(
+          transport, paced ? "fig2-paced" : "fig2", shards, run_load);
+    }
+    all_converged = all_converged && result.ops_per_sec > 0.0;
+    points->push_back({ordbuf::Backend::kPartitionRun, shards,
+                       result.ops_per_sec, kind == "tcp" ? "tcp" : "loopback",
+                       result.ack_latency_us, paced});
+    return points->back();
+  };
+  for (const std::uint32_t shards : shard_counts) {
+    std::atomic<bool> done{false};
+    std::thread scraper;
+    if (kind == "tcp") {
+      scraper = std::thread([&metrics_address, &last_scrape, &done] {
         while (!done.load(std::memory_order_relaxed)) {
           std::string body;
           if (metrics::HttpGet(metrics_address, "/metrics", &body) &&
@@ -415,35 +418,17 @@ bool RunTransportScan(const std::string& kind, bool smoke,
           std::this_thread::sleep_for(std::chrono::milliseconds(20));
         }
       });
-      result = bench::MeasureTransportThroughput(
-          transport, "127.0.0.1:0", shards, load, 200,
-          ordbuf::Backend::kPartitionRun, &metrics::Registry::Default());
-      done.store(true, std::memory_order_relaxed);
+    }
+    const ScanPoint& point = measure(shards, load, /*paced=*/false);
+    done.store(true, std::memory_order_relaxed);
+    if (scraper.joinable()) {
       scraper.join();
-    } else {
-      net::LoopbackTransport transport;
-      result = bench::MeasureTransportThroughput(transport, "fig2", shards,
-                                                 load);
     }
-    if (result.ops_per_sec <= 0.0) {
-      all_converged = false;
-    }
-    ScanPoint point{ordbuf::Backend::kPartitionRun, shards, result.ops_per_sec,
-                    kind == "tcp" ? "tcp" : "loopback",
-                    result.ack_latency_us.Mean()};
-    point.ack_p50_us =
-        static_cast<double>(result.ack_latency_us.Percentile(50));
-    point.ack_p95_us =
-        static_cast<double>(result.ack_latency_us.Percentile(95));
-    point.ack_p99_us =
-        static_cast<double>(result.ack_latency_us.Percentile(99));
-    points->push_back(point);
     table.AddRow({kind, Table::Num(shards, 0),
-                  Table::Num(result.ops_per_sec / 1000.0, 0),
-                  Table::Num(result.ack_latency_us.Mean(), 0),
-                  Table::Num(point.ack_p95_us, 0),
-                  Table::Num(static_cast<double>(result.ack_latency_us.Max()),
-                             0)});
+                  Table::Num(point.ops_per_sec / 1000.0, 0),
+                  Table::Num(point.ack_us->Mean(), 0),
+                  Table::Num(static_cast<double>(point.ack_us->Percentile(95)), 0),
+                  Table::Num(static_cast<double>(point.ack_us->Max()), 0)});
   }
   table.Print();
 
@@ -460,36 +445,15 @@ bool RunTransportScan(const std::string& kind, bool smoke,
     paced.batch_interval_us = 1000;
     paced.ops_per_partition = smoke ? 1'000 : 10'000;
     const std::uint32_t shards = shard_counts.back();
-    bench::TransportRunResult result;
-    if (kind == "tcp") {
-      net::EpollTransport transport;
-      result = bench::MeasureTransportThroughput(
-          transport, "127.0.0.1:0", shards, paced, 200,
-          ordbuf::Backend::kPartitionRun, &metrics::Registry::Default());
-    } else {
-      net::LoopbackTransport transport;
-      result = bench::MeasureTransportThroughput(transport, "fig2-paced",
-                                                 shards, paced);
-    }
-    if (result.ops_per_sec <= 0.0) {
-      all_converged = false;
-    }
-    ScanPoint point{ordbuf::Backend::kPartitionRun, shards, result.ops_per_sec,
-                    kind == "tcp" ? "tcp" : "loopback",
-                    result.ack_latency_us.Mean()};
-    point.paced = true;
-    point.ack_p50_us =
-        static_cast<double>(result.ack_latency_us.Percentile(50));
-    point.ack_p95_us =
-        static_cast<double>(result.ack_latency_us.Percentile(95));
-    point.ack_p99_us =
-        static_cast<double>(result.ack_latency_us.Percentile(99));
-    points->push_back(point);
+    const metrics::Histogram::Snapshot& ack =
+        *measure(shards, paced, /*paced=*/true).ack_us;
     std::printf(
         "\npaced below-capacity run (%u shards, %llu ops/batch every 1 ms): "
-        "ack p50 %.0f us, p95 %.0f us, p99 %.0f us\n",
+        "ack p50 %llu us, p95 %llu us, p99 %llu us\n",
         shards, static_cast<unsigned long long>(paced.ops_per_batch),
-        point.ack_p50_us, point.ack_p95_us, point.ack_p99_us);
+        static_cast<unsigned long long>(ack.Percentile(50)),
+        static_cast<unsigned long long>(ack.Percentile(95)),
+        static_cast<unsigned long long>(ack.Percentile(99)));
   }
   if (kind == "tcp") {
     metrics_server.Stop();
@@ -535,8 +499,7 @@ int Run(bool smoke, const std::string& transport) {
     if (transport != "inproc") {
       ok = RunTransportScan(transport, /*smoke=*/true, &points) && ok;
     }
-    WriteBenchJson("BENCH_fig2.json", /*smoke=*/true, points,
-                   MakeScanLoad(true));
+    WriteScanJson(/*smoke=*/true, points, MakeScanLoad(true));
     return ok ? 0 : 1;
   }
 
@@ -576,8 +539,7 @@ int Run(bool smoke, const std::string& transport) {
   if (transport != "inproc") {
     ok = RunTransportScan(transport, /*smoke=*/false, &points) && ok;
   }
-  WriteBenchJson("BENCH_fig2.json", /*smoke=*/false, points,
-                 MakeScanLoad(false));
+  WriteScanJson(/*smoke=*/false, points, MakeScanLoad(false));
   return ok ? 0 : 1;
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 #include "src/common/sync.h"
 
+#include "bench/bench_json.h"
 #include "bench/flags.h"
 #include "bench/service_driver.h"
 #include "src/common/stats.h"
@@ -98,39 +99,23 @@ std::vector<double> MeasureTimeline(const Scale& scale, std::uint32_t replicas,
   return rates;
 }
 
-void WriteBenchJson(const char* path, bool smoke, const Scale& scale,
-                    double baseline_avg,
-                    const std::vector<std::vector<double>>& runs) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"figure\": \"fig4_failures\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"series\": [\n");
+void WriteTimelineJson(bool smoke, const Scale& scale, double baseline_avg,
+                       const std::vector<std::vector<double>>& runs) {
+  bench::BenchJson json("fig4_failures", smoke);
   const std::size_t windows = scale.duration_us / scale.window_us;
-  std::size_t emitted = 0;
-  const std::size_t total = runs.size() * windows;
   for (std::size_t r = 0; r < runs.size(); ++r) {
-    const std::string system = std::to_string(r + 1) + "-FT";
     for (std::size_t w = 0; w < windows; ++w) {
       const double rate = w < runs[r].size() ? runs[r][w] : 0.0;
       const double t_s = static_cast<double>(w * scale.window_us) / 1e6;
-      const double norm = baseline_avg > 0.0 ? rate / baseline_avg : 0.0;
-      ++emitted;
-      std::fprintf(f,
-                   "    {\"system\": \"%s\", \"workload\": \"t=%.1fs\", "
-                   "\"transport\": \"native\", \"ops_per_s\": %.1f, "
-                   "\"normalized\": %.3f}%s\n",
-                   system.c_str(), t_s, rate, norm,
-                   emitted < total ? "," : "");
+      json.AddRow()
+          .Str("system", std::to_string(r + 1) + "-FT")
+          .Str("workload", "t=" + Table::Num(t_s, 1) + "s")
+          .Str("transport", "native")
+          .Num("ops_per_s", rate, 1)
+          .Num("normalized", baseline_avg > 0.0 ? rate / baseline_avg : 0.0, 3);
     }
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu series points)\n", path, total);
+  json.Write("BENCH_fig4.json");
 }
 
 void Run(bool smoke) {
@@ -178,7 +163,7 @@ void Run(bool smoke) {
       "\npaper reference: 1-FT drops to zero at the first crash; 2-FT "
       "survives it (~95%% of non-FT) and dies at the second;\n3-FT survives "
       "both and recovers to full throughput within seconds.\n");
-  WriteBenchJson("BENCH_fig4.json", smoke, scale, baseline_avg, runs);
+  WriteTimelineJson(smoke, scale, baseline_avg, runs);
 }
 
 }  // namespace

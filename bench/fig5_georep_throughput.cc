@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "bench/flags.h"
 #include "src/georep/runtime/geo_node.h"
 #include "src/harness/geo_experiment.h"
@@ -55,31 +56,19 @@ struct SeriesPoint {
   double vis_p95_ms = -1.0;  // remote visibility (artificial/applied delay)
 };
 
-void WriteBenchJson(const char* path, bool smoke,
-                    const std::vector<SeriesPoint>& points) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"figure\": \"fig5_georep_throughput\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"series\": [\n");
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"system\": \"%s\", \"workload\": \"%s\", "
-                 "\"transport\": \"%s\", \"ops_per_s\": %.1f",
-                 points[i].system.c_str(), points[i].workload.c_str(),
-                 points[i].transport.c_str(), points[i].ops_per_s);
-    if (points[i].vis_p95_ms >= 0.0) {
-      std::fprintf(f, ", \"vis_p95_ms\": %.2f", points[i].vis_p95_ms);
+void WriteSeriesJson(bool smoke, const std::vector<SeriesPoint>& points) {
+  bench::BenchJson json("fig5_georep_throughput", smoke);
+  for (const SeriesPoint& point : points) {
+    bench::JsonFields& row = json.AddRow();
+    row.Str("system", point.system)
+        .Str("workload", point.workload)
+        .Str("transport", point.transport)
+        .Num("ops_per_s", point.ops_per_s, 1);
+    if (point.vis_p95_ms >= 0.0) {
+      row.Num("vis_p95_ms", point.vis_p95_ms, 2);
     }
-    std::fprintf(f, "}%s\n", i + 1 < points.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu series points)\n", path, points.size());
+  json.Write("BENCH_fig5.json");
 }
 
 // --- part 1: the simulated figure --------------------------------------------
@@ -334,7 +323,7 @@ int Run(bool smoke, const std::string& transport) {
   if (transport != "sim") {
     ok = RunTransportPart(transport, smoke, &points) && ok;
   }
-  WriteBenchJson("BENCH_fig5.json", smoke, points);
+  WriteSeriesJson(smoke, points);
   return ok ? 0 : 1;
 }
 

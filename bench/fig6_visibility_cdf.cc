@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "bench/flags.h"
 #include "src/harness/geo_experiment.h"
 #include "src/harness/table.h"
@@ -48,43 +49,31 @@ metrics::Histogram::Snapshot SnapPair(const geo::VisibilityTracker& tracker,
   return hist != nullptr ? hist->Snap() : metrics::Histogram::Snapshot{};
 }
 
+// The q-quantile added delay in ms; -1 for an empty pair.
+double Ms(const metrics::Histogram::Snapshot& cdf, double q) {
+  return cdf.count != 0 ? static_cast<double>(cdf.Quantile(q)) / 1000.0 : -1.0;
+}
+
 // Machine-readable companion of the printed tables (same JSON shape as
 // BENCH_fig2.json / BENCH_fig5.json): per system x WAN leg, the visibility
 // percentiles CI archives to track the trajectory.
-void WriteBenchJson(bool smoke, const std::vector<SystemCdfs>& cdfs) {
-  std::FILE* f = std::fopen("BENCH_fig6.json", "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not write BENCH_fig6.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"figure\": \"fig6_visibility_cdf\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"series\": [\n");
-  bool first = true;
+void WriteCdfJson(bool smoke, const std::vector<SystemCdfs>& cdfs) {
+  bench::BenchJson json("fig6_visibility_cdf", smoke);
   for (const auto& entry : cdfs) {
     for (const bool right : {false, true}) {
       const metrics::Histogram::Snapshot& cdf = right ? entry.right : entry.left;
       if (cdf.count == 0) {
         continue;
       }
-      if (!first) {
-        std::fprintf(f, ",\n");
-      }
-      first = false;
-      std::fprintf(
-          f,
-          "    {\"system\": \"%s\", \"pair\": \"%s\", "
-          "\"p50_ms\": %.2f, \"p95_ms\": %.2f, \"p99_ms\": %.2f}",
-          entry.name.c_str(), right ? "dc1->dc2" : "dc0->dc1",
-          static_cast<double>(cdf.Quantile(0.50)) / 1000.0,
-          static_cast<double>(cdf.Quantile(0.95)) / 1000.0,
-          static_cast<double>(cdf.Quantile(0.99)) / 1000.0);
+      json.AddRow()
+          .Str("system", entry.name)
+          .Str("pair", right ? "dc1->dc2" : "dc0->dc1")
+          .Num("p50_ms", Ms(cdf, 0.50), 2)
+          .Num("p95_ms", Ms(cdf, 0.95), 2)
+          .Num("p99_ms", Ms(cdf, 0.99), 2);
     }
   }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_fig6.json\n");
+  json.Write("BENCH_fig6.json");
 }
 
 void Run(bool smoke) {
@@ -133,10 +122,7 @@ void Run(bool smoke) {
       for (const auto& entry : cdfs) {
         const metrics::Histogram::Snapshot& cdf =
             right ? entry.right : entry.left;
-        row.push_back(
-            cdf.count != 0
-                ? Table::Num(static_cast<double>(cdf.Quantile(q)) / 1000.0, 1)
-                : "-");
+        row.push_back(cdf.count != 0 ? Table::Num(Ms(cdf, q), 1) : "-");
       }
       table.AddRow(std::move(row));
     }
@@ -144,18 +130,14 @@ void Run(bool smoke) {
   }
 
   // Headline numbers from the paper's discussion.
-  const auto at = [](const metrics::Histogram::Snapshot& cdf, double q) {
-    return cdf.count != 0 ? static_cast<double>(cdf.Quantile(q)) / 1000.0
-                          : -1.0;
-  };
   std::printf(
       "\npaper reference points (dc0->dc1): EunomiaKV ~15 ms @95%%, Cure ~45 "
       "ms @95%%, GentleRain ~80 ms @95%% with a ~40 ms floor\n");
   std::printf("measured  @95%%: EunomiaKV %.1f ms, Cure %.1f ms, GentleRain %.1f ms\n",
-              at(cdfs[0].left, 0.95), at(cdfs[2].left, 0.95), at(cdfs[1].left, 0.95));
+              Ms(cdfs[0].left, 0.95), Ms(cdfs[2].left, 0.95), Ms(cdfs[1].left, 0.95));
   std::printf("measured  @5%% (floor): EunomiaKV %.1f ms, Cure %.1f ms, GentleRain %.1f ms\n",
-              at(cdfs[0].left, 0.05), at(cdfs[2].left, 0.05), at(cdfs[1].left, 0.05));
-  WriteBenchJson(smoke, cdfs);
+              Ms(cdfs[0].left, 0.05), Ms(cdfs[2].left, 0.05), Ms(cdfs[1].left, 0.05));
+  WriteCdfJson(smoke, cdfs);
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 #include <vector>
 #include "src/common/sync.h"
 
+#include "bench/bench_json.h"
 #include "bench/flags.h"
 #include "src/georep/geo_store.h"
 #include "src/georep/runtime/chaos/nemesis.h"
@@ -453,65 +454,53 @@ TcpScenarioResult RunTcpReconnectScenario(bool smoke) {
 
 // --- JSON --------------------------------------------------------------------
 
-void WriteBenchJson(const char* path, bool smoke, const SweepResult& sweep,
-                    double sweep_wall_s, const TcpScenarioResult& tcp) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"figure\": \"nemesis_sweep\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"series\": [\n");
+void WriteSweepJson(bool smoke, const SweepResult& sweep, double sweep_wall_s,
+                    const TcpScenarioResult& tcp) {
+  bench::BenchJson json("nemesis_sweep", smoke);
   const double sweep_rate =
       static_cast<double>(sweep.updates_acked + sweep.reads_done) /
       std::max(sweep_wall_s, 1e-9);
-  std::fprintf(f,
-               "    {\"system\": \"EunomiaKV\", \"workload\": "
-               "\"nemesis-sweep\", \"transport\": \"sim\", \"ops_per_s\": "
-               "%.1f, \"seeds\": %llu, \"violating_seeds\": %zu, "
-               "\"updates_acked\": %llu, \"crashes\": %llu, "
-               "\"payloads_dropped\": %llu, \"durable_seeds\": %llu, "
-               "\"wal_torn_tails\": %llu, \"wal_bit_flips\": %llu, "
-               "\"snapshots\": %llu}%s\n",
-               sweep_rate, static_cast<unsigned long long>(sweep.seeds_run),
-               sweep.violating_seeds.size(),
-               static_cast<unsigned long long>(sweep.updates_acked),
-               static_cast<unsigned long long>(sweep.crashes),
-               static_cast<unsigned long long>(sweep.payloads_dropped),
-               static_cast<unsigned long long>(sweep.durable_seeds),
-               static_cast<unsigned long long>(sweep.wal_torn_tails),
-               static_cast<unsigned long long>(sweep.wal_bit_flips),
-               static_cast<unsigned long long>(sweep.snapshots_taken),
-               tcp.ran ? "," : "");
+  json.AddRow()
+      .Str("system", "EunomiaKV")
+      .Str("workload", "nemesis-sweep")
+      .Str("transport", "sim")
+      .Num("ops_per_s", sweep_rate, 1)
+      .Int("seeds", sweep.seeds_run)
+      .Int("violating_seeds", sweep.violating_seeds.size())
+      .Int("updates_acked", sweep.updates_acked)
+      .Int("crashes", sweep.crashes)
+      .Int("payloads_dropped", sweep.payloads_dropped)
+      .Int("durable_seeds", sweep.durable_seeds)
+      .Int("wal_torn_tails", sweep.wal_torn_tails)
+      .Int("wal_bit_flips", sweep.wal_bit_flips)
+      .Int("snapshots", sweep.snapshots_taken);
   if (tcp.ran) {
     double max_gap_ms = 0.0;
     for (const UnavailabilityWindow& w : tcp.windows) {
       max_gap_ms = std::max(max_gap_ms, w.gap_ms);
     }
-    std::fprintf(f,
-                 "    {\"system\": \"EunomiaKV\", \"workload\": "
-                 "\"peer-death-reconnect\", \"transport\": \"tcp\", "
-                 "\"ops_per_s\": %.1f, \"reconnects\": %llu, \"converged\": "
-                 "%d, \"converge_ms\": %.0f, \"unavail_windows\": %zu, "
-                 "\"max_gap_ms\": %.1f}%s\n",
-                 tcp.ops_per_s,
-                 static_cast<unsigned long long>(tcp.reconnects),
-                 tcp.converged ? 1 : 0, tcp.converge_ms, tcp.windows.size(),
-                 max_gap_ms, tcp.windows.empty() ? "" : ",");
-    for (std::size_t i = 0; i < tcp.windows.size(); ++i) {
-      std::fprintf(f,
-                   "    {\"system\": \"EunomiaKV\", \"workload\": "
-                   "\"unavail t=%.2fs\", \"transport\": \"tcp\", "
-                   "\"ops_per_s\": 0.0, \"gap_ms\": %.1f}%s\n",
-                   tcp.windows[i].start_s, tcp.windows[i].gap_ms,
-                   i + 1 < tcp.windows.size() ? "," : "");
+    json.AddRow()
+        .Str("system", "EunomiaKV")
+        .Str("workload", "peer-death-reconnect")
+        .Str("transport", "tcp")
+        .Num("ops_per_s", tcp.ops_per_s, 1)
+        .Int("reconnects", tcp.reconnects)
+        .Int("converged", tcp.converged ? 1 : 0)
+        .Num("converge_ms", tcp.converge_ms, 0)
+        .Int("unavail_windows", tcp.windows.size())
+        .Num("max_gap_ms", max_gap_ms, 1);
+    for (const UnavailabilityWindow& w : tcp.windows) {
+      char workload[48];
+      std::snprintf(workload, sizeof(workload), "unavail t=%.2fs", w.start_s);
+      json.AddRow()
+          .Str("system", "EunomiaKV")
+          .Str("workload", workload)
+          .Str("transport", "tcp")
+          .Num("ops_per_s", 0.0, 1)
+          .Num("gap_ms", w.gap_ms, 1);
     }
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path);
+  json.Write("BENCH_nemesis.json");
 }
 
 int Run(const bench::Flags& flags) {
@@ -596,7 +585,7 @@ int Run(const bench::Flags& flags) {
     tcp = RunTcpReconnectScenario(smoke);
     ok = ok && tcp.ok;
   }
-  WriteBenchJson("BENCH_nemesis.json", smoke, sweep, sweep_wall_s, tcp);
+  WriteSweepJson(smoke, sweep, sweep_wall_s, tcp);
   return ok ? 0 : 1;
 }
 

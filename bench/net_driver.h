@@ -84,18 +84,9 @@ inline TransportRunResult MeasureTransportThroughput(
     producer.join();
   }
   result.ack_latency_us = ack_latency->Snap();
-  const std::uint64_t deadline = NowMicros() + 120'000'000ULL;
-  while (server.ops_stabilized() < load.total_ops() && NowMicros() < deadline) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  const std::uint64_t elapsed = NowMicros() - start;
-  const bool converged = server.ops_stabilized() >= load.total_ops();
+  const double rate = AwaitStabilizedRate(server, load, start);
   server.Stop();
-  if (!all_ok.load() || !converged || elapsed == 0) {
-    return result;
-  }
-  result.ops_per_sec = static_cast<double>(load.total_ops()) /
-                       (static_cast<double>(elapsed) / 1e6);
+  result.ops_per_sec = all_ok.load() ? rate : 0.0;
   return result;
 }
 

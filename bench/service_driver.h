@@ -19,7 +19,6 @@
 #include "src/clock/hybrid_clock.h"
 #include "src/eunomia/op.h"
 #include "src/eunomia/service.h"
-#include "src/sequencer/sequencer_service.h"
 
 namespace eunomia::bench {
 
@@ -135,6 +134,26 @@ void SubmitFixedLoad(Service& service, const FixedLoad& load) {
   }
 }
 
+// Waits up to 120 s for `service` (anything with ops_stabilized()) to have
+// stabilized the whole load, and returns the load's ops/sec since
+// `start_us` — 0.0 if it did not converge. Call before the service's Stop():
+// its final flush may push the counter to the target and mask a run that
+// actually timed out.
+template <typename Service>
+double AwaitStabilizedRate(const Service& service, const FixedLoad& load,
+                           std::uint64_t start_us) {
+  const std::uint64_t deadline = NowMicros() + 120'000'000ULL;
+  while (service.ops_stabilized() < load.total_ops() && NowMicros() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  const std::uint64_t elapsed = NowMicros() - start_us;
+  if (service.ops_stabilized() < load.total_ops() || elapsed == 0) {
+    return 0.0;
+  }
+  return static_cast<double>(load.total_ops()) /
+         (static_cast<double>(elapsed) / 1e6);
+}
+
 // Drives `service` with the fixed load and returns stabilized ops/sec
 // (start-to-fully-stabilized). Works for EunomiaService and FtEunomiaService
 // (anything with Start/Stop/SubmitBatch/Heartbeat/ops_stabilized).
@@ -143,20 +162,9 @@ double MeasureStabilizedThroughput(Service& service, const FixedLoad& load) {
   service.Start();
   const std::uint64_t start = NowMicros();
   SubmitFixedLoad(service, load);
-  const std::uint64_t deadline = NowMicros() + 120'000'000ULL;
-  while (service.ops_stabilized() < load.total_ops() && NowMicros() < deadline) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  const std::uint64_t elapsed = NowMicros() - start;
-  // Judge convergence before Stop(): its final flush may push the counter
-  // to the target and mask a run that actually timed out.
-  const bool converged = service.ops_stabilized() >= load.total_ops();
+  const double rate = AwaitStabilizedRate(service, load, start);
   service.Stop();
-  if (!converged || elapsed == 0) {
-    return 0.0;  // did not converge inside the deadline
-  }
-  return static_cast<double>(load.total_ops()) /
-         (static_cast<double>(elapsed) / 1e6);
+  return rate;
 }
 
 // Convenience wrapper: native EunomiaService with `num_shards` stabilizer
@@ -172,30 +180,6 @@ inline double MeasureShardedThroughput(
   options.buffer_backend = backend;
   EunomiaService service(options);
   return MeasureStabilizedThroughput(service, load);
-}
-
-// Sequencer load: each client thread issues blocking Next() calls flat out.
-template <typename Sequencer>
-std::uint64_t DriveSequencerClients(Sequencer& sequencer, std::uint32_t clients,
-                                    std::uint64_t duration_us) {
-  std::atomic<std::uint64_t> granted{0};
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  const std::uint64_t deadline = NowMicros() + duration_us;
-  for (std::uint32_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&sequencer, &granted, deadline] {
-      std::uint64_t local = 0;
-      while (NowMicros() < deadline) {
-        sequencer.Next();
-        ++local;
-      }
-      granted.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  return granted.load();
 }
 
 }  // namespace eunomia::bench

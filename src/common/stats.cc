@@ -1,110 +1,8 @@
 #include "src/common/stats.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 
 namespace eunomia {
-
-void OnlineStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void OnlineStats::Merge(const OnlineStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n = static_cast<double>(count_ + other.count_);
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / n;
-  mean_ += delta * static_cast<double>(other.count_) / n;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ += other.count_;
-}
-
-double OnlineStats::variance() const {
-  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-LatencyHistogram::LatencyHistogram() : buckets_(kNumBuckets, 0) {}
-
-int LatencyHistogram::BucketFor(std::uint64_t value) {
-  if (value < (1u << kSubBucketBits)) {
-    return static_cast<int>(value);
-  }
-  const int octave = 63 - std::countl_zero(value);
-  const int shift = octave - kSubBucketBits;
-  const int sub = static_cast<int>((value >> shift) & ((1u << kSubBucketBits) - 1));
-  const int bucket =
-      ((octave - kSubBucketBits + 1) << kSubBucketBits) + sub;
-  return std::min(bucket, kNumBuckets - 1);
-}
-
-std::uint64_t LatencyHistogram::BucketUpperBound(int bucket) {
-  if (bucket < (1 << kSubBucketBits)) {
-    return static_cast<std::uint64_t>(bucket);
-  }
-  const int octave_index = (bucket >> kSubBucketBits) - 1;
-  const int sub = bucket & ((1 << kSubBucketBits) - 1);
-  const int shift = octave_index;
-  const std::uint64_t base = 1ULL << (octave_index + kSubBucketBits);
-  return base + ((static_cast<std::uint64_t>(sub) + 1) << shift) - 1;
-}
-
-void LatencyHistogram::Record(std::uint64_t value_us) {
-  ++buckets_[static_cast<std::size_t>(BucketFor(value_us))];
-  ++count_;
-  max_ = std::max(max_, value_us);
-  sum_ += static_cast<double>(value_us);
-}
-
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  for (int i = 0; i < kNumBuckets; ++i) {
-    buckets_[static_cast<std::size_t>(i)] +=
-        other.buckets_[static_cast<std::size_t>(i)];
-  }
-  count_ += other.count_;
-  max_ = std::max(max_, other.max_);
-  sum_ += other.sum_;
-}
-
-double LatencyHistogram::mean() const {
-  return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-std::uint64_t LatencyHistogram::Percentile(double p) const {
-  if (count_ == 0) {
-    return 0;
-  }
-  p = std::clamp(p, 0.0, 100.0);
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(p / 100.0 * static_cast<double>(count_)));
-  std::uint64_t seen = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    seen += buckets_[static_cast<std::size_t>(i)];
-    if (seen >= target && seen > 0) {
-      return std::min(BucketUpperBound(i), max_);
-    }
-  }
-  return max_;
-}
 
 void Cdf::EnsureSorted() const {
   if (!sorted_) {
@@ -124,29 +22,6 @@ double Cdf::Quantile(double q) const {
   const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-double Cdf::FractionBelow(double x) const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  EnsureSorted();
-  const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
-  return static_cast<double>(it - samples_.begin()) /
-         static_cast<double>(samples_.size());
-}
-
-std::vector<std::pair<double, double>> Cdf::Curve(int points) const {
-  std::vector<std::pair<double, double>> out;
-  if (points < 2) {
-    points = 2;
-  }
-  out.reserve(static_cast<std::size_t>(points));
-  for (int i = 0; i < points; ++i) {
-    const double q = static_cast<double>(i) / static_cast<double>(points - 1);
-    out.emplace_back(q, Quantile(q));
-  }
-  return out;
 }
 
 void TimeSeries::GrowTo(std::size_t window_index) {

@@ -1,9 +1,7 @@
 // Statistics utilities used by the benchmark harness and the tests:
-//   - OnlineStats: streaming mean / variance / min / max (Welford).
-//   - LatencyHistogram: log-bucketed histogram with percentile queries,
-//     suitable for millions of visibility-latency samples.
-//   - Cdf: exact empirical CDF built from retained samples (used for the
-//     Fig. 6 visibility-latency CDFs, where we want faithful curves).
+//   - Cdf: exact empirical CDF built from retained samples (the visibility
+//     goldens pin its exact quantiles). Log-bucketed latency histograms
+//     live in metrics::Histogram.
 //   - TimeSeries: windowed throughput timeline (Fig. 4 / Fig. 7).
 #pragma once
 
@@ -13,69 +11,14 @@
 
 namespace eunomia {
 
-class OnlineStats {
- public:
-  void Add(double x);
-  void Merge(const OnlineStats& other);
-
-  std::uint64_t count() const { return count_; }
-  double mean() const { return count_ ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double sum() const { return mean_ * static_cast<double>(count_); }
-
- private:
-  std::uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-// Log-bucketed latency histogram. Values are recorded in microseconds; the
-// bucket layout gives <= ~2% relative error on percentile queries, which is
-// ample for reproducing the paper's figures.
-class LatencyHistogram {
- public:
-  LatencyHistogram();
-
-  void Record(std::uint64_t value_us);
-  void Merge(const LatencyHistogram& other);
-
-  std::uint64_t count() const { return count_; }
-  double mean() const;
-  // p in [0, 100].
-  std::uint64_t Percentile(double p) const;
-  std::uint64_t Max() const { return max_; }
-
- private:
-  static constexpr int kSubBucketBits = 5;  // 32 sub-buckets per octave
-  static constexpr int kNumBuckets = 64 << kSubBucketBits;
-
-  static int BucketFor(std::uint64_t value);
-  static std::uint64_t BucketUpperBound(int bucket);
-
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t count_ = 0;
-  std::uint64_t max_ = 0;
-  double sum_ = 0.0;
-};
-
 // Exact empirical CDF from retained samples.
 class Cdf {
  public:
   void Add(double sample) { samples_.push_back(sample); sorted_ = false; }
-  void Reserve(std::size_t n) { samples_.reserve(n); }
 
   std::size_t count() const { return samples_.size(); }
   // Value at quantile q in [0, 1].
   double Quantile(double q) const;
-  // Fraction of samples <= x.
-  double FractionBelow(double x) const;
-  // Evenly spaced (quantile, value) points for plotting; `points` >= 2.
-  std::vector<std::pair<double, double>> Curve(int points) const;
 
  private:
   void EnsureSorted() const;

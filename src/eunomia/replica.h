@@ -14,6 +14,7 @@
 // receivers deduplicate via SiteTime (see src/georep/receiver.h).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -39,11 +40,19 @@ class EunomiaReplica {
     // Re-sent duplicates (ops already seen) form a prefix of the ordered
     // batch — filtered per Alg. 4 line 2 *before* the core, so they are not
     // miscounted as Property 2 violations; the rest bulk-inserts through
-    // the hinted run path.
+    // the hinted run path. Ops at or below an applied stable notice are
+    // dropped the same way: the leader already shipped them, and a batch
+    // that lost the race with the notice must not re-enter the buffer (this
+    // replica would re-emit them if it later led). They still count as
+    // seen, so the returned ack covers them.
     std::size_t first_new = 0;
-    const Timestamp seen = core_.partition_time(partition);
+    const Timestamp acked = core_.partition_time(partition);
+    const Timestamp seen = std::max(acked, stable_notice_);
     while (first_new < batch.size() && batch[first_new].ts <= seen) {
       ++first_new;
+    }
+    if (first_new > 0 && batch[first_new - 1].ts > acked) {
+      core_.Heartbeat(partition, batch[first_new - 1].ts);
     }
     if (first_new < batch.size()) {
       core_.AddBatch(batch.subspan(first_new));
@@ -73,9 +82,10 @@ class EunomiaReplica {
   // by recomputing their own StableTime: the leader may have heard from
   // partitions this replica has not, and the notice is authoritative.
   void OnStableNotice(Timestamp stable_time) {
-    if (stable_time == 0) {
+    if (stable_time <= stable_notice_) {
       return;
     }
+    stable_notice_ = stable_time;
     discard_buffer_.clear();
     core_.ForceExtractUpTo(stable_time, &discard_buffer_);
   }
@@ -87,6 +97,7 @@ class EunomiaReplica {
   std::uint32_t replica_id_;
   EunomiaCore core_;
   std::vector<OpRecord> discard_buffer_;
+  Timestamp stable_notice_ = 0;  // highest applied STABLE notice
 };
 
 }  // namespace eunomia

@@ -15,6 +15,11 @@ namespace eunomia::geo::rt {
 namespace gw = ::eunomia::geo::rt::wire;
 namespace nw = ::eunomia::net::wire;
 
+namespace {
+// How often a durable node checks whether a snapshot is due.
+constexpr std::uint64_t kSnapshotCheckIntervalUs = 250'000;
+}  // namespace
+
 GeoNode::GeoNode(net::Transport* transport, Options options)
     : transport_(transport),
       options_(std::move(options)),
@@ -339,8 +344,7 @@ void GeoNode::SnapshotTick() {
   if (durability_->SnapshotDue()) {
     durability_->Snapshot(*runtime_, &sessions_, InstallTruncateMark());
   }
-  loop_.ScheduleAfter(options_.snapshot_check_interval_us,
-                      [this] { SnapshotTick(); });
+  loop_.ScheduleAfter(kSnapshotCheckIntervalUs, [this] { SnapshotTick(); });
 }
 
 void GeoNode::MetricsTick() {

@@ -85,8 +85,7 @@ class GeoNode final : private Environment {
     wal::FsyncPolicy fsync = wal::FsyncPolicy::kPerCommit;
     std::uint64_t fsync_interval_us = 5'000;  // kInterval policy only
     // Snapshot when at least snapshot_interval_bytes of log accumulated,
-    // checked every snapshot_check_interval_us.
-    std::uint64_t snapshot_check_interval_us = 250'000;
+    // checked every kSnapshotCheckIntervalUs (geo_node.cc).
     std::uint64_t snapshot_interval_bytes = 1u << 20;
     // Durable nodes ack their applied frontier to every peer at this
     // period (the acks drive peers' history truncation and this node's

@@ -140,15 +140,14 @@ class VisibilityTracker {
 
   // --- client-op accounting --------------------------------------------------
 
-  void OnOpComplete(DatacenterId dc, bool is_update, std::uint64_t t_us,
-                    std::uint64_t latency_us) {
-    (void)dc;
+  // Counts a completed client op at t_us. The op latency is not recorded:
+  // the figures read throughput and visibility, never client latency.
+  void OnOpComplete(DatacenterId /*dc*/, bool is_update, std::uint64_t t_us,
+                    std::uint64_t /*latency_us*/) {
     if (is_update) {
       ++updates_completed_;
-      update_latency_.Record(latency_us);
     } else {
       ++reads_completed_;
-      read_latency_.Record(latency_us);
     }
     throughput_.Record(t_us);
   }
@@ -176,9 +175,6 @@ class VisibilityTracker {
     }
     return windows == 0 ? 0.0 : total / static_cast<double>(windows);
   }
-
-  const LatencyHistogram& read_latency() const { return read_latency_; }
-  const LatencyHistogram& update_latency() const { return update_latency_; }
 
   // Artificial visibility delay CDF for updates originating at `origin`
   // observed at `dest`; nullptr if no samples.
@@ -268,8 +264,6 @@ class VisibilityTracker {
       visibility_timeline_;
   std::uint64_t reads_completed_ = 0;
   std::uint64_t updates_completed_ = 0;
-  LatencyHistogram read_latency_;
-  LatencyHistogram update_latency_;
   TimeSeries throughput_;
 };
 

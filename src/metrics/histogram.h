@@ -1,11 +1,11 @@
 // Histogram: fixed-bucket log-linear latency/size histogram with wait-free
 // recording.
 //
-// Bucket scheme — identical to common::LatencyHistogram (stats.h) so a
-// scrape and a bench summary of the same stream agree: values 0..31 get
-// exact buckets; above that each power-of-two octave is split into 32
-// linear sub-buckets (kSubBucketBits = 5), giving ~2% relative error over
-// the full uint64 range in 2048 buckets.
+// Bucket scheme — the one log-linear latency histogram in the tree; the
+// scrape endpoint and the bench summaries read the same buckets. Values
+// 0..31 get exact buckets; above that each power-of-two octave is split
+// into 32 linear sub-buckets (kSubBucketBits = 5), giving ~2% relative
+// error over the full uint64 range in 2048 buckets.
 //
 // Concurrency: recording is 3 relaxed fetch_adds into one of kStripes
 // cache-line-isolated shards; threads are assigned stripes round-robin on

@@ -7,6 +7,7 @@
 // tests/sync_negative_compile.cc (probe 4), built — and required to FAIL to
 // compile — by the clang job in CI.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -258,6 +259,27 @@ TEST(HistogramSnapshotTest, QuantilesMeanAndMax) {
   EXPECT_EQ(empty.Quantile(0.99), 0u);
   EXPECT_EQ(empty.Max(), 0u);
   EXPECT_DOUBLE_EQ(empty.Mean(), 0.0);
+}
+
+TEST(HistogramSnapshotTest, PercentileWithinRelativeError) {
+  Histogram hist("test_exp_us", "h");
+  std::mt19937_64 rng(21);
+  std::exponential_distribution<double> exp(1.0 / 20000.0);
+  std::vector<std::uint64_t> values;
+  for (int i = 0; i < 100000; ++i) {
+    const auto v = static_cast<std::uint64_t>(exp(rng));
+    values.push_back(v);
+    hist.Record(v);
+  }
+  std::sort(values.begin(), values.end());
+  const Histogram::Snapshot snap = hist.Snap();
+  for (const double p : {50.0, 90.0, 99.0}) {
+    const auto exact =
+        values[static_cast<std::size_t>(p / 100.0 * (values.size() - 1))];
+    EXPECT_NEAR(static_cast<double>(snap.Percentile(p)),
+                static_cast<double>(exact),
+                static_cast<double>(exact) * 0.05 + 2.0);
+  }
 }
 
 // ---------------------------------------------------------------------------

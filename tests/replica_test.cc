@@ -118,6 +118,31 @@ TEST(EunomiaReplicaTest, FollowerTakeoverEmitsOnlySuffix) {
   EXPECT_EQ(reshipped[1].ts, 40u);
 }
 
+TEST(EunomiaReplicaTest, BatchBehindAppliedNoticeIsNotReemitted) {
+  // A follower can apply the leader's STABLE notice before a batch the
+  // notice covers reaches its inbox. Those ops were already shipped: the
+  // late batch must not re-buffer them, or this replica re-emits them once
+  // it takes over as leader. The ack still has to cover them so the sender
+  // can trim.
+  EunomiaReplica follower(1, 1);
+  follower.OnStableNotice(100);
+  const std::vector<OpRecord> late = {Op(50), Op(80), Op(120)};
+  EXPECT_GE(follower.NewBatch(late, 0), 80u);
+
+  std::vector<OpRecord> emitted;
+  follower.ProcessStable(&emitted);  // the leader crashed; follower leads
+  ASSERT_EQ(emitted.size(), 1u);
+  EXPECT_EQ(emitted[0].ts, 120u);
+  EXPECT_EQ(follower.core().monotonicity_violations(), 0u);
+
+  // A batch lying wholly below the notice is acked without buffering.
+  EunomiaReplica other(2, 1);
+  other.OnStableNotice(100);
+  const std::vector<OpRecord> stale = {Op(50), Op(80)};
+  EXPECT_EQ(other.NewBatch(stale, 0), 80u);
+  EXPECT_EQ(other.core().pending_ops(), 0u);
+}
+
 // --- end-to-end property: prefix property & identical emission under chaos --
 
 struct LossyChannel {

@@ -1,12 +1,11 @@
 // Tests for the KV store substrates: scalar LWW store, multi-version store
-// with predicate visibility, key routing, and client sessions.
+// with predicate visibility, and key routing.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/store/client_session.h"
 #include "src/store/hash_ring.h"
 #include "src/store/versioned_store.h"
 
@@ -181,17 +180,6 @@ TEST(ServerOfPartitionTest, RoundRobin) {
   EXPECT_EQ(ServerOfPartition(2, 3), 2u);
   EXPECT_EQ(ServerOfPartition(3, 3), 0u);
   EXPECT_EQ(ServerOfPartition(5, 0), 0u);  // degenerate: no servers
-}
-
-TEST(ClientSessionTest, ReadMergesUpdateReplaces) {
-  ClientSession session(7);
-  EXPECT_EQ(session.clock(), 0u);
-  session.OnRead(100);
-  EXPECT_EQ(session.clock(), 100u);
-  session.OnRead(50);  // older read must not regress the clock
-  EXPECT_EQ(session.clock(), 100u);
-  session.OnUpdate(200);
-  EXPECT_EQ(session.clock(), 200u);
 }
 
 }  // namespace
