@@ -184,7 +184,7 @@ class DatacenterRuntime {
   void ScheduleReceiverCheck();
 
   void ExecuteUpdate(Partition& part, ClientId client, Key key, Value value,
-                     std::function<void()> done, std::uint64_t issued_at);
+                     std::function<void()> done);
   void ApplyRemote(PartitionId p, const RemoteUpdate& meta,
                    std::function<void()> done);
   void ExecuteRemote(Partition& part, std::uint64_t uid,

@@ -34,7 +34,6 @@ void EventLoop::Start() {
   }
   running_ = true;
   thread_ = std::thread([this] { RunLoop(); });
-  loop_thread_id_.store(thread_.get_id(), std::memory_order_release);
 }
 
 void EventLoop::Stop() {
@@ -44,24 +43,42 @@ void EventLoop::Stop() {
       return;
     }
     stopped_ = true;
-    cv_.NotifyAll();
+    cv_.NotifyOne();
   }
   if (thread_.joinable()) {
     thread_.join();
   }
+  local_.clear();
   sync::MutexLock lock(mu_);
   running_ = false;
-  tasks_.clear();
+  foreign_.clear();
+  timers_.clear();
 }
 
 void EventLoop::ScheduleAfter(std::uint64_t delay_us,
                               std::function<void()> fn) {
+  if (delay_us == 0 && InLoopThread()) {
+    if (!stopped_) {
+      local_.push_back(std::move(fn));
+    }
+    return;
+  }
   sync::MutexLock lock(mu_);
   if (stopped_) {
     return;
   }
-  tasks_.emplace(std::make_pair(Now() + delay_us, next_seq_++), std::move(fn));
-  cv_.NotifyAll();
+  if (delay_us == 0) {
+    foreign_.push_back(std::move(fn));
+  } else {
+    timers_.emplace(std::make_pair(Now() + delay_us, next_seq_++),
+                    std::move(fn));
+  }
+  // A running loop finds the task at its next round; a sleeping one is
+  // woken once, not once per post.
+  if (sleeping_) {
+    sleeping_ = false;
+    cv_.NotifyOne();
+  }
 }
 
 void EventLoop::RunBlocking(std::function<void()> fn) {
@@ -99,28 +116,60 @@ void EventLoop::RunBlocking(std::function<void()> fn) {
 }
 
 void EventLoop::RunLoop() {
-  // Manual Lock/Unlock instead of a scoped guard: the lock is dropped
-  // around each task body and re-taken at the loop head — a shape the
-  // static analysis still verifies because every path rebalances.
-  mu_.Lock();
-  while (!stopped_) {
-    if (tasks_.empty()) {
-      cv_.Wait(mu_);
-      continue;
+  // Published from the loop thread itself, so the very first task already
+  // takes the local-post path.
+  loop_thread_id_.store(std::this_thread::get_id(), std::memory_order_release);
+  std::vector<Task> due;
+  std::vector<Task> foreign;
+  while (true) {
+    {
+      sync::MutexLock lock(mu_);
+      // Sleep until something is runnable: a local or foreign post, or the
+      // earliest timer's due time.
+      while (!stopped_ && local_.empty() && foreign_.empty()) {
+        if (timers_.empty()) {
+          sleeping_ = true;
+          cv_.Wait(mu_);
+        } else {
+          const std::uint64_t next = timers_.begin()->first.first;
+          if (next <= Now()) {
+            break;
+          }
+          sleeping_ = true;
+          cv_.WaitUntil(mu_, epoch_ + std::chrono::microseconds(next));
+        }
+        sleeping_ = false;
+      }
+      if (stopped_) {
+        return;
+      }
+      if (!timers_.empty()) {
+        const std::uint64_t now = Now();
+        while (!timers_.empty() && timers_.begin()->first.first <= now) {
+          due.push_back(std::move(timers_.begin()->second));
+          timers_.erase(timers_.begin());
+        }
+      }
+      foreign.swap(foreign_);
     }
-    const std::uint64_t due = tasks_.begin()->first.first;
-    if (due > Now()) {
-      cv_.WaitUntil(mu_, epoch_ + std::chrono::microseconds(due));
-      continue;
+    // Local tasks posted from here on wait for the next round.
+    std::size_t local_count = local_.size();
+    for (std::vector<Task>* group : {&due, &foreign}) {
+      for (Task& slot : *group) {
+        if (stopped_) {
+          return;
+        }
+        Task fn = std::move(slot);  // destroyed right after it ran
+        fn();
+      }
+      group->clear();
     }
-    auto it = tasks_.begin();
-    std::function<void()> fn = std::move(it->second);
-    tasks_.erase(it);
-    mu_.Unlock();
-    fn();
-    mu_.Lock();
+    for (; local_count > 0 && !stopped_; --local_count) {
+      Task fn = std::move(local_.front());
+      local_.pop_front();
+      fn();
+    }
   }
-  mu_.Unlock();
 }
 
 }  // namespace eunomia::geo::rt

@@ -7,19 +7,36 @@
 // honours the Environment contract that all DatacenterRuntime calls are
 // serialized and never reentrant.
 //
-// Tasks run in (due time, submission order) priority; Post(fn) is
-// ScheduleAfter(0). Stop() discards pending tasks and joins the thread, so
-// after Stop returns no task is running or will run — state owned by loop
-// tasks may then be inspected from any thread.
+// Three queues feed the loop thread:
+//   - local: Post/ScheduleAfter(0) called *by a loop task* appends to an
+//     unlocked FIFO only the loop thread touches (no mutex, no clock read);
+//   - foreign: Post from any other thread appends to a mutex-guarded
+//     vector the loop swaps out whole once per round;
+//   - timers: ScheduleAfter(delay > 0) from any thread goes into a
+//     mutex-guarded (due time, submission order) map.
+// Each round runs the timers due at its start, then the swapped-out
+// foreign posts, then only the local tasks queued when the round began —
+// so a task that reposts itself forever cannot starve a timer or a
+// foreign post. A poster wakes the loop only when it is asleep.
+//
+// Ordering contract: posts from one thread run in post order; a task
+// posted by a loop task runs after the posting task returns, never inline;
+// a timer never fires before its delay, and timers fire in (due time,
+// submission) order. Stop() discards pending tasks and joins the thread,
+// so after Stop returns no task is running or will run — state owned by
+// loop tasks may then be inspected from any thread — and later posts do
+// nothing.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "src/common/sync.h"
 
@@ -59,22 +76,29 @@ class EventLoop {
   }
 
  private:
+  using Task = std::function<void()>;
+
   void RunLoop();
 
   const std::chrono::steady_clock::time_point epoch_;
   mutable sync::Mutex mu_{"rt::EventLoop::mu_", sync::kRankEventLoop};
   sync::CondVar cv_;
-  // (due time us, submission seq) -> task; multimap iteration order is the
-  // execution order.
-  std::multimap<std::pair<std::uint64_t, std::uint64_t>,
-                std::function<void()>>
-      tasks_ GUARDED_BY(mu_);
+  std::vector<Task> foreign_ GUARDED_BY(mu_);
+  // (due time us, submission seq) -> task; iteration order is firing order.
+  std::multimap<std::pair<std::uint64_t, std::uint64_t>, Task> timers_
+      GUARDED_BY(mu_);
   std::uint64_t next_seq_ GUARDED_BY(mu_) = 0;
   bool running_ GUARDED_BY(mu_) = false;
-  bool stopped_ GUARDED_BY(mu_) = false;
+  bool sleeping_ GUARDED_BY(mu_) = false;
+  // Written under mu_ (so posters checking it under mu_ never enqueue
+  // after Stop's final clear), read lock-free between tasks.
+  std::atomic<bool> stopped_{false};
+  // Touched only by the loop thread while it runs, and by Stop after the
+  // join.
+  std::deque<Task> local_;
   std::thread thread_;
   // Atomic rather than mu_-guarded: InLoopThread is called from loop tasks
-  // that would deadlock taking mu_ while RunLoop holds it.
+  // and from the lock-free local post path.
   std::atomic<std::thread::id> loop_thread_id_{};
 };
 

@@ -142,8 +142,7 @@ class VisibilityTracker {
 
   // Counts a completed client op at t_us. The op latency is not recorded:
   // the figures read throughput and visibility, never client latency.
-  void OnOpComplete(DatacenterId /*dc*/, bool is_update, std::uint64_t t_us,
-                    std::uint64_t /*latency_us*/) {
+  void OnOpComplete(bool is_update, std::uint64_t t_us) {
     if (is_update) {
       ++updates_completed_;
     } else {

@@ -1,10 +1,9 @@
 // Tests for the clock substrate: physical clock model, the paper's hybrid
-// MaxTs logic (Algorithm 2), and the reference HLC.
+// MaxTs logic (Algorithm 2).
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "src/clock/hlc.h"
 #include "src/clock/hybrid_clock.h"
 #include "src/clock/physical_clock.h"
 #include "src/common/random.h"
@@ -129,45 +128,6 @@ TEST(HybridClockTest, PropertyCausalityAndMonotonicityUnderSkew) {
     EXPECT_GT(ts, last_per_partition[p]) << "Property 2 violated";
     last_per_partition[p] = ts;
     client_clock = ts;  // Alg. 1 line 9
-  }
-}
-
-TEST(HlcTest, TickAdvancesLogicalWhenPhysicalStalls) {
-  Hlc hlc;
-  const HlcTimestamp a = hlc.Tick(100);
-  const HlcTimestamp b = hlc.Tick(100);
-  EXPECT_LT(a, b);
-  EXPECT_EQ(b.l, 100u);
-  EXPECT_EQ(b.c, a.c + 1);
-}
-
-TEST(HlcTest, TickResetsLogicalWhenPhysicalAdvances) {
-  Hlc hlc;
-  hlc.Tick(100);
-  hlc.Tick(100);
-  const HlcTimestamp t = hlc.Tick(200);
-  EXPECT_EQ(t.l, 200u);
-  EXPECT_EQ(t.c, 0u);
-}
-
-TEST(HlcTest, MergeDominatesRemote) {
-  Hlc a;
-  Hlc b;
-  const HlcTimestamp sent = a.Tick(1000);
-  const HlcTimestamp received = b.Merge(10, sent);  // b's clock far behind
-  EXPECT_LT(sent, received);
-}
-
-TEST(HlcTest, BoundedDivergenceWithSynchronizedClocks) {
-  // With perfectly synchronized physical clocks, l never exceeds the
-  // largest physical time seen — HLC's key bound.
-  Hlc a;
-  Hlc b;
-  HlcTimestamp last{};
-  for (std::uint64_t t = 0; t < 1000; t += 10) {
-    last = a.Tick(t);
-    last = b.Merge(t, last);
-    EXPECT_LE(last.l, t);
   }
 }
 

@@ -362,6 +362,9 @@ TEST(GeoNodeTcpDurable, KillRestartOnSurvivingDiskConvergesAndTruncates) {
   EXPECT_GT(applied_after, 0u);
   node0->Stop();
   node1->Stop();
+  // Break the writer chain's self-reference cycle (the function captures
+  // the shared_ptr that owns it) now that both event loops are joined.
+  *issue = nullptr;
   SUCCEED() << "retained history at end: " << retained;
 }
 

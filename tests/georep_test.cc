@@ -172,7 +172,7 @@ TEST(VisibilityTrackerTest, ArtificialDelayComputedFromArrival) {
 TEST(VisibilityTrackerTest, ThroughputWindowing) {
   VisibilityTracker tracker(1'000'000);
   for (std::uint64_t t = 0; t < 5'000'000; t += 1000) {
-    tracker.OnOpComplete(0, false, t, 500);
+    tracker.OnOpComplete(false, t);
   }
   // 1000 ops per 1-second window.
   EXPECT_NEAR(tracker.Throughput(1'000'000, 4'000'000), 1000.0, 1.0);
