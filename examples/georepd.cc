@@ -12,7 +12,8 @@
 //
 // Flags:
 //   --dc=N           this node's datacenter id            (default 0)
-//   --dcs=N          datacenters in the deployment        (default 3)
+//   --dcs=N          datacenters in the deployment, 1..8  (default 3; the
+//                    vector-timestamp width kMaxDcs bounds it)
 //   --partitions=N   partitions per datacenter            (default 8)
 //   --listen=H:P     listen address                       (default 127.0.0.1:9100)
 //   --peers=A,B,...  peer addresses indexed by dc id; the self entry is
@@ -302,7 +303,14 @@ int main(int argc, char** argv) {
     return flags.FailUsage();
   }
   const auto dc = static_cast<eunomia::DatacenterId>(flags.GetUint("dc", 0));
-  const auto num_dcs = static_cast<std::uint32_t>(flags.GetUint("dcs", 3));
+  const std::uint64_t dcs_flag = flags.GetUint("dcs", 3);
+  if (dcs_flag == 0 || dcs_flag > eunomia::geo::kMaxDcs) {
+    std::fprintf(stderr, "georepd: --dcs=%llu out of range (1..%u)\n",
+                 static_cast<unsigned long long>(dcs_flag),
+                 eunomia::geo::kMaxDcs);
+    return 2;
+  }
+  const auto num_dcs = static_cast<std::uint32_t>(dcs_flag);
   const auto partitions =
       static_cast<std::uint32_t>(flags.GetUint("partitions", 8));
   if (flags.smoke()) {

@@ -97,7 +97,7 @@ inline constexpr LockRank kRankFanoutListeners = 310;
 inline constexpr LockRank kRankServerPeers = 400;   // net::EunomiaServer
 inline constexpr LockRank kRankClientSession = 410; // net::EunomiaClient
 inline constexpr LockRank kRankEventLoop = 500;     // rt::EventLoop
-inline constexpr LockRank kRankSeqStage = 600;      // sequencer queues
+inline constexpr LockRank kRankGeoClientOps = 510;  // rt::GeoNode op queue
 inline constexpr LockRank kRankServiceInbox = 700;  // per-partition inboxes
 inline constexpr LockRank kRankShardWake = 710;     // shard wakeup
 inline constexpr LockRank kRankMergeStage = 720;    // merge publish state
@@ -105,7 +105,6 @@ inline constexpr LockRank kRankBatchPool = 730;     // batch free-list
 inline constexpr LockRank kRankConnSend = 800;      // Connection::send_mu_
 inline constexpr LockRank kRankConnQueue = 810;     // per-conn in/outboxes
 inline constexpr LockRank kRankIoLoop = 820;        // net::IoLoop task queue
-inline constexpr LockRank kRankSeqRequest = 900;    // blocking RPC requests
 inline constexpr LockRank kRankWalSnapshot = 920;   // ServiceWal snapshot queue
 inline constexpr LockRank kRankWalWriter = 930;     // wal::LogWriter queue
 inline constexpr LockRank kRankWalDisk = 940;       // wal::MemDisk file map

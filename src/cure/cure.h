@@ -40,7 +40,7 @@ namespace eunomia::geo {
 // Vector stamp adapter for the multi-version store.
 struct VectorStamp {
   VectorTimestamp vts;
-  const std::vector<Timestamp>& TotalOrderKey() const { return vts.entries(); }
+  const VectorTimestamp& TotalOrderKey() const { return vts; }
 };
 
 class CureSystem final : public GeoSystem {

@@ -70,8 +70,8 @@ class GeoStore {
     if (new_sum != cur_sum) {
       return new_sum > cur_sum;
     }
-    if (vts.entries() != cur.vts.entries()) {
-      return vts.entries() > cur.vts.entries();
+    if (vts != cur.vts) {
+      return vts > cur.vts;
     }
     return origin > cur.origin;
   }

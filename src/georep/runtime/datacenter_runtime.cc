@@ -1,6 +1,7 @@
 #include "src/georep/runtime/datacenter_runtime.h"
 
 #include <cassert>
+#include <type_traits>
 #include <utility>
 
 namespace eunomia::geo::rt {
@@ -207,19 +208,27 @@ void DatacenterRuntime::ScheduleReceiverCheck() {
 
 void DatacenterRuntime::ClientRead(ClientId client, Key key,
                                    std::function<void()> done) {
-  ClientReadValue(client, key,
-                  [done = std::move(done)](const GeoVersion&) { done(); });
+  Read(client, key, std::move(done));
 }
 
 void DatacenterRuntime::ClientReadValue(
     ClientId client, Key key, std::function<void(const GeoVersion&)> done) {
+  Read(client, key, std::move(done));
+}
+
+// Every hop moves `done` into the next one: a continuation is allocated
+// once per op, never copied.
+template <typename Done>
+void DatacenterRuntime::Read(ClientId client, Key key, Done done) {
   const PartitionId p = router_.Responsible(key);
   Partition& part = partitions_[p];
-  env_->ClientHop(id_, [this, &part, client, key, done = std::move(done)] {
+  env_->ClientHop(id_, [this, &part, client, key,
+                        done = std::move(done)]() mutable {
     const std::uint64_t cost =
         config_.costs.read_us + config_.costs.eunomia_metadata_us;
     env_->RunOnPartition(id_, part.id, cost, /*priority=*/false,
-                         [this, &part, client, key, done] {
+                         [this, &part, client, key,
+                          done = std::move(done)]() mutable {
       const GeoVersion* version = part.store.Get(key);
       GeoVersion observed = version != nullptr
                                 ? *version
@@ -227,12 +236,16 @@ void DatacenterRuntime::ClientReadValue(
                                              VectorTimestamp(config_.num_dcs),
                                              0};
       env_->ClientHop(id_, [this, client, observed = std::move(observed),
-                            done] {
-        auto [it, inserted] =
-            sessions_->try_emplace(client, VectorTimestamp(config_.num_dcs));
+                            done = std::move(done)]() mutable {
+        // try_emplace builds the session only for a new client.
+        auto it = sessions_->try_emplace(client, config_.num_dcs).first;
         it->second.MergeMax(observed.vts);  // Alg. 1 line 4, vector form
         tracker_->OnOpComplete(/*is_update=*/false, env_->Now());
-        done(observed);
+        if constexpr (std::is_invocable_v<Done&, const GeoVersion&>) {
+          done(observed);
+        } else {
+          done();
+        }
       });
     });
   });
@@ -257,9 +270,8 @@ void DatacenterRuntime::ExecuteUpdate(Partition& part, ClientId client,
   env_->RunOnPartition(id_, part.id, cost, /*priority=*/false,
                        [this, &part, client, key, value = std::move(value),
                         done = std::move(done)]() mutable {
-    auto [sit, inserted] =
-        sessions_->try_emplace(client, VectorTimestamp(config_.num_dcs));
-    VectorTimestamp& session = sit->second;
+    VectorTimestamp& session =
+        sessions_->try_emplace(client, config_.num_dcs).first->second;
 
     // u.vts: local entry from the hybrid clock (Alg. 2 line 5, vector form);
     // remote entries copied from VClock_c (§4 "Update").
@@ -294,7 +306,7 @@ void DatacenterRuntime::ExecuteUpdate(Partition& part, ClientId client,
 
     // Data/metadata separation (§5): ship the payload directly to the
     // sibling partitions, no ordering constraints.
-    RemotePayload payload{uid, key, value, vts, id_};
+    RemotePayload payload{uid, key, std::move(value), vts, id_};
     if (hooks_ != nullptr) {
       // Log-before-ship: once any byte of this update leaves the process
       // (payload fan-out below, metadata at the next flush), a crash must
@@ -310,7 +322,8 @@ void DatacenterRuntime::ExecuteUpdate(Partition& part, ClientId client,
     }
 
     // Reply to the client: VClock_c <- u.vts (strictly greater, §4).
-    env_->ClientHop(id_, [this, client, vts = std::move(vts), done] {
+    env_->ClientHop(id_, [this, client, vts = std::move(vts),
+                          done = std::move(done)] {
       auto it = sessions_->find(client);
       if (it != sessions_->end()) {
         it->second = vts;
@@ -360,13 +373,14 @@ void DatacenterRuntime::OnPayload(PartitionId p, RemotePayload payload) {
 void DatacenterRuntime::ApplyRemote(PartitionId p, const RemoteUpdate& meta,
                                     std::function<void()> done) {
   // Receiver -> partition APPLY message (Alg. 5 line 14).
-  env_->SendApply(id_, p, [this, p, uid = meta.uid, done = std::move(done)] {
+  env_->SendApply(id_, p, [this, p, uid = meta.uid,
+                           done = std::move(done)]() mutable {
     Partition& part = partitions_[p];
     if (part.payloads.count(uid) > 0) {
-      ExecuteRemote(part, uid, done);
+      ExecuteRemote(part, uid, std::move(done));
     } else {
       // Metadata arrived before the payload: park the go-ahead.
-      part.pending_applies.emplace(uid, done);
+      part.pending_applies.emplace(uid, std::move(done));
     }
   });
 }

@@ -183,6 +183,9 @@ class DatacenterRuntime {
   void RunStabilizer();
   void ScheduleReceiverCheck();
 
+  // Shared by ClientRead and ClientReadValue; Done is their callback type.
+  template <typename Done>
+  void Read(ClientId client, Key key, Done done);
   void ExecuteUpdate(Partition& part, ClientId client, Key key, Value value,
                      std::function<void()> done);
   void ApplyRemote(PartitionId p, const RemoteUpdate& meta,

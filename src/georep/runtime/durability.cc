@@ -23,6 +23,9 @@ void PutVts(std::string* out, const VectorTimestamp& vts) {
 
 bool GetVts(io::PayloadReader* reader, std::uint32_t num_dcs,
             VectorTimestamp* vts) {
+  if (num_dcs > kMaxDcs) {
+    return false;
+  }
   *vts = VectorTimestamp(num_dcs);
   for (DatacenterId d = 0; d < num_dcs; ++d) {
     std::uint64_t v = 0;

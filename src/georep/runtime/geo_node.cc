@@ -311,6 +311,12 @@ void GeoNode::Stop() {
   // and blocked outbound sends fail fast), then the loop.
   transport_->Shutdown();
   loop_.Stop();
+  std::vector<ClientOp> discarded;  // callbacks destroyed outside ops_mu_
+  {
+    sync::MutexLock lock(ops_mu_);
+    ops_closed_ = true;
+    discarded.swap(ops_);
+  }
   if (durability_ != nullptr) {
     // Graceful shutdown syncs the tail; only kill -9 loses unsynced bytes.
     durability_->Flush();
@@ -393,21 +399,62 @@ Timestamp GeoNode::InstallTruncateMark() const {
 
 void GeoNode::ClientRead(ClientId client, Key key,
                          std::function<void()> done) {
-  loop_.Post([this, client, key, done = std::move(done)]() mutable {
-    runtime_->ClientRead(client, key, std::move(done));
-  });
+  EnqueueClientOp({client, key, /*is_update=*/false, Value{}, std::move(done)});
 }
 
 void GeoNode::ClientUpdate(ClientId client, Key key, Value value,
                            std::function<void()> done) {
-  loop_.Post([this, client, key, value = std::move(value),
-              done = std::move(done)]() mutable {
-    runtime_->ClientUpdate(client, key, std::move(value), std::move(done));
+  EnqueueClientOp(
+      {client, key, /*is_update=*/true, std::move(value), std::move(done)});
+}
+
+void GeoNode::EnqueueClientOp(ClientOp op) {
+  {
+    sync::MutexLock lock(ops_mu_);
+    if (ops_closed_) {
+      return;  // like a post to a stopped loop; op dies after the unlock
+    }
+    ops_.push_back(std::move(op));
+    if (drain_posted_) {
+      return;  // the pending drain takes this op too
+    }
+    drain_posted_ = true;
+  }
+  loop_.Post([this] { DrainClientOps(); });
+}
+
+void GeoNode::DrainClientOps() {
+  {
+    sync::MutexLock lock(ops_mu_);
+    draining_.swap(ops_);  // both buffers keep their capacity
+    drain_posted_ = false;
+  }
+  for (ClientOp& op : draining_) {
+    if (op.is_update) {
+      runtime_->ClientUpdate(op.client, op.key, std::move(op.value),
+                             std::move(op.done));
+    } else {
+      runtime_->ClientRead(op.client, op.key, std::move(op.done));
+    }
+  }
+  draining_.clear();
+}
+
+void GeoNode::RunBlocking(std::function<void()> fn) {
+  loop_.RunBlocking([this, &fn] {
+    // On the loop, ops queued before this call start first (their drain
+    // task may still sit behind this one). Off it — the loop is not live —
+    // they stay queued: pre-Start for the drain Start runs, after Stop
+    // for nobody.
+    if (loop_.InLoopThread()) {
+      DrainClientOps();
+    }
+    fn();
   });
 }
 
 void GeoNode::PausePayloadsTo(DatacenterId peer, bool paused) {
-  loop_.RunBlocking([this, peer, paused] {
+  RunBlocking([this, peer, paused] {
     Peer& entry = peers_[peer];
     entry.paused = paused;
     if (!paused) {

@@ -21,7 +21,12 @@
 //
 // The client API mirrors the protocol contract: done callbacks run on the
 // node's event loop once the operation completed locally — closed-loop
-// drivers chain the next operation from there.
+// drivers chain the next operation from there. ClientRead/ClientUpdate
+// append a plain record to a node-owned queue (its own mutex, not the
+// loop's); only the first op after a drain posts a drain task, which swaps
+// the queue out whole. Ops from one thread start in call order and before
+// any later RunBlocking from that thread; ops queued at Stop are discarded
+// and ops issued after Stop are dropped, their callbacks destroyed unrun.
 #pragma once
 
 #include <atomic>
@@ -31,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/sync.h"
 #include "src/common/types.h"
 #include "src/georep/config.h"
 #include "src/georep/runtime/datacenter_runtime.h"
@@ -131,8 +137,9 @@ class GeoNode final : private Environment {
   // --- introspection ---------------------------------------------------------
   DatacenterId dc() const { return options_.dc; }
   // Runs fn on the event loop and blocks until done — the safe way to read
-  // runtime/tracker state while the node is live.
-  void RunBlocking(std::function<void()> fn) { loop_.RunBlocking(fn); }
+  // runtime/tracker state while the node is live. Client ops queued before
+  // the call start first.
+  void RunBlocking(std::function<void()> fn);
   const DatacenterRuntime& runtime() const { return *runtime_; }
   VisibilityTracker& tracker() { return tracker_; }
   const VisibilityTracker& tracker() const { return tracker_; }
@@ -170,6 +177,15 @@ class GeoNode final : private Environment {
   void PausePayloadsTo(DatacenterId peer, bool paused);
 
  private:
+  // One queued ClientRead (is_update false, value empty) or ClientUpdate.
+  struct ClientOp {
+    ClientId client;
+    Key key;
+    bool is_update;
+    Value value;
+    std::function<void()> done;
+  };
+
   struct Peer {
     std::string address;  // as dialed; background reconnects re-dial it
     std::shared_ptr<net::Connection> metadata;
@@ -214,6 +230,10 @@ class GeoNode final : private Environment {
                    RemotePayload payload) override;
   void SendApply(DatacenterId dc, PartitionId partition,
                  std::function<void()> fn) override;
+
+  void EnqueueClientOp(ClientOp op);
+  // Starts every queued client op on the runtime. Loop thread.
+  void DrainClientOps();
 
   net::ConnectionHandler MakeInboundHandler();
   void SendOnLink(const std::shared_ptr<net::Connection>& link,
@@ -277,6 +297,11 @@ class GeoNode final : private Environment {
   std::vector<std::pair<PartitionId, RemotePayload>> recovered_installs_;
   std::vector<Timestamp> peer_applied_;  // loop thread; indexed by peer
   std::vector<Peer> peers_;  // indexed by DatacenterId; [dc()] unused
+  sync::Mutex ops_mu_{"rt::GeoNode::ops_mu_", sync::kRankGeoClientOps};
+  std::vector<ClientOp> ops_ GUARDED_BY(ops_mu_);
+  bool drain_posted_ GUARDED_BY(ops_mu_) = false;
+  bool ops_closed_ GUARDED_BY(ops_mu_) = false;  // set by Stop
+  std::vector<ClientOp> draining_;  // loop thread; swapped with ops_
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> wire_errors_{0};

@@ -12,12 +12,6 @@ using net::wire::io::PayloadReader;
 using net::wire::io::PutU32;
 using net::wire::io::PutU64;
 
-// Sanity bound on vector-timestamp width: a deployment of more than 256
-// datacenters is outside every shape this runtime accepts, so a larger
-// width on the wire is treated as a malformed payload before any
-// allocation happens.
-constexpr std::uint32_t kMaxVectorEntries = 256;
-
 void PutVts(std::string* out, const VectorTimestamp& vts) {
   PutU32(out, vts.size());
   for (std::uint32_t d = 0; d < vts.size(); ++d) {
@@ -27,7 +21,8 @@ void PutVts(std::string* out, const VectorTimestamp& vts) {
 
 bool ReadVts(PayloadReader* reader, VectorTimestamp* vts) {
   std::uint32_t len = 0;
-  if (!reader->U32(&len) || len == 0 || len > kMaxVectorEntries ||
+  // A width past kMaxDcs fits no VectorTimestamp: a malformed payload.
+  if (!reader->U32(&len) || len == 0 || len > kMaxDcs ||
       reader->remaining() < static_cast<std::size_t>(len) * 8) {
     return false;
   }

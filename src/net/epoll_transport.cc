@@ -88,6 +88,11 @@ class EpollTransport::Conn : public Connection,
   bool finished() const { return finished_.load(std::memory_order_acquire); }
 
   void OnEvents(std::uint32_t events) override {
+    // epoll holds a raw pointer. Once teardown below publishes finished_,
+    // ReapFinished (any thread, e.g. a re-dial) may drop the registry's
+    // reference while this dispatch is still running: pin the conn for it.
+    // Posted loop tasks pin themselves through their captured self.
+    const std::shared_ptr<Conn> self = shared_from_this();
     if (events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) {
       HandleReadable();
     }

@@ -122,7 +122,16 @@ void IoLoop::Run() {
   std::array<epoll_event, kMaxEventsPerWait> events;
   std::deque<std::function<void()>> tasks;
   for (;;) {
-    const int n = ::epoll_wait(epoll_fd_, events.data(), kMaxEventsPerWait, -1);
+    // Tasks that the last round's tasks posted need no wake (a loop-thread
+    // Post skips it, and so does every later Post while the queue is
+    // non-empty): poll instead of blocking so they run now.
+    int timeout_ms;
+    {
+      sync::MutexLock lock(task_mu_);
+      timeout_ms = tasks_.empty() ? -1 : 0;
+    }
+    const int n = ::epoll_wait(epoll_fd_, events.data(), kMaxEventsPerWait,
+                               timeout_ms);
     if (n < 0) {
       if (errno == EINTR) {
         continue;

@@ -16,10 +16,11 @@
 //     dangling dispatch behind.
 //
 // Post() from the loop thread itself skips the eventfd write: the loop
-// always drains the task queue after dispatching readiness, so tasks posted
-// during dispatch (e.g. "flush this connection's outbox") run in the same
+// drains the task queue after dispatching readiness, so tasks posted during
+// dispatch (e.g. "flush this connection's outbox") run in the same
 // iteration — this is what lets every ack generated in one wakeup coalesce
-// into one writev.
+// into one writev. Tasks posted by those tasks run in the next iteration,
+// which polls epoll instead of blocking while the queue is non-empty.
 //
 // The task queue mutex ranks at kRankIoLoop (820): senders may post a flush
 // kick while holding a connection outbox lock (kRankConnQueue, 810).

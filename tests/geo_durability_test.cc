@@ -26,9 +26,12 @@
 #include "src/georep/runtime/durability.h"
 #include "src/georep/runtime/geo_node.h"
 #include "src/georep/runtime/geo_wire.h"
+#include "src/georep/runtime/sim_env.h"
 #include "src/net/epoll_transport.h"
+#include "src/net/wire_io.h"
 #include "src/sim/simulator.h"
 #include "src/wal/disk.h"
+#include "src/wal/log.h"
 #include "src/wal/log_writer.h"
 
 namespace eunomia {
@@ -208,6 +211,51 @@ TEST(GeoDurable, EmptyDiskRecoversToFreshStateAndCatchesUp) {
   sim.RunUntil(2'000'000);
   ASSERT_TRUE(cluster.alive(1));
   ExpectNoViolations(cluster, config);
+}
+
+// A snapshot whose width field names `num_dcs`; a vector that wide cannot
+// exist in memory past kMaxDcs, so the decoder must refuse it.
+TEST(GeoDurable, SnapshotWiderThanMaxDcsIsRejected) {
+  const GeoConfig config = SmallConfig(3, /*scalar=*/false);
+  auto snapshot = [&config](std::uint32_t num_dcs) {
+    namespace io = net::wire::io;
+    std::string body;
+    io::PutU32(&body, num_dcs);
+    for (std::uint32_t d = 0; d < num_dcs; ++d) {
+      io::PutU64(&body, 5);  // site time
+    }
+    io::PutU32(&body, config.partitions_per_dc);
+    for (PartitionId p = 0; p < config.partitions_per_dc; ++p) {
+      io::PutU64(&body, 0);  // clock mark
+    }
+    io::PutU32(&body, 0);  // sessions
+    for (PartitionId p = 0; p < config.partitions_per_dc; ++p) {
+      io::PutU32(&body, 0);  // store entries
+    }
+    std::string framed;
+    wal::AppendRecord(&framed, geo::rt::GeoDurability::kGeoSnapshotRecord,
+                      body);
+    return framed;
+  };
+  for (const std::uint32_t num_dcs : {config.num_dcs, geo::kMaxDcs + 1}) {
+    wal::MemDisk disk;
+    ASSERT_TRUE(disk.WriteAtomic("snap", snapshot(num_dcs)));
+    geo::rt::GeoDurabilityOptions dopts;
+    dopts.disk = &disk;
+    dopts.num_dcs = num_dcs;
+    dopts.partitions = config.partitions_per_dc;
+    geo::rt::GeoDurability durability(dopts);
+    sim::Simulator sim(1);
+    geo::rt::SimGeoEnvironment env(&sim, config);
+    geo::VisibilityTracker tracker(1'000'000, config.num_dcs);
+    geo::rt::UidAllocator uids(0, 1);
+    geo::rt::SessionMap sessions;
+    geo::rt::DatacenterRuntime runtime(
+        0, config, &env, &tracker, &uids, &sessions,
+        std::vector<PhysicalClock>(config.partitions_per_dc), &durability);
+    const auto recovered = durability.Recover(&runtime, &sessions);
+    EXPECT_EQ(recovered.had_snapshot, num_dcs == config.num_dcs) << num_dcs;
+  }
 }
 
 // --- durability handshake codecs ---------------------------------------------

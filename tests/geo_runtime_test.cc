@@ -17,6 +17,8 @@
 //      sockets where a remote update becomes visible only once both its
 //      payload and the receiver's go-ahead arrived, and causal chains stay
 //      ordered.
+//   4. The GeoNode client-op queue: call order, ops before Start and at or
+//      after Stop, concurrent producers next to RunBlocking.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -38,6 +40,7 @@
 #include "src/georep/runtime/sim_env.h"
 #include "src/net/epoll_transport.h"
 #include "src/net/loopback_transport.h"
+#include "src/net/wire_io.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workload.h"
 
@@ -668,12 +671,12 @@ TEST(GeoRuntimeTcpE2e, ConcurrentLoadFromAllDatacentersConverges) {
   }
   // Identical contents everywhere.
   auto snapshot = [&](DatacenterId d) {
-    std::map<Key, std::pair<Value, std::vector<Timestamp>>> contents;
+    std::map<Key, std::pair<Value, geo::VectorTimestamp>> contents;
     cluster.nodes[d]->RunBlocking([&] {
       for (PartitionId p = 0; p < cluster.config.partitions_per_dc; ++p) {
         cluster.nodes[d]->runtime().StoreAt(p).ForEach(
             [&](Key k, const geo::GeoVersion& v) {
-              contents[k] = {v.value, v.vts.entries()};
+              contents[k] = {v.value, v.vts};
             });
       }
     });
@@ -684,6 +687,152 @@ TEST(GeoRuntimeTcpE2e, ConcurrentLoadFromAllDatacentersConverges) {
   for (DatacenterId d = 1; d < 3; ++d) {
     EXPECT_TRUE(dc0 == snapshot(d)) << "dc" << d << " diverged";
   }
+}
+
+// ---------------------------------------------------------------------------
+// 4. GeoNode client-op queue: ClientRead/ClientUpdate append to a node-owned
+//    queue that the loop drains in batches.
+// ---------------------------------------------------------------------------
+
+// A one-DC node over loopback: nothing to dial, every op completes locally.
+struct SoloNode {
+  net::LoopbackTransport transport;
+  geo::rt::GeoNode node;
+
+  static GeoConfig Config() {
+    GeoConfig config = SmallRealConfig();
+    config.num_dcs = 1;
+    return config;
+  }
+
+  SoloNode() : node(&transport, geo::rt::GeoNode::Options{0, Config()}) {}
+
+  // The value stored under `key` (any partition), "" if absent.
+  std::string ValueOf(Key key) {
+    std::string value;
+    node.RunBlocking([&] {
+      for (PartitionId p = 0; p < Config().partitions_per_dc; ++p) {
+        if (const geo::GeoVersion* v = node.runtime().StoreAt(p).Get(key)) {
+          value = v->value;
+        }
+      }
+    });
+    return value;
+  }
+};
+
+bool WaitForCount(const std::atomic<int>& count, int want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (count.load() < want) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(GeoNodeClientOps, SameThreadOpsApplyInCallOrder) {
+  SoloNode solo;
+  solo.node.Start();
+  constexpr int kOps = 300;
+  std::atomic<int> done{0};
+  std::vector<int> completion_order;  // loop thread only
+  for (int i = 0; i < kOps; ++i) {
+    // One session, one key: every update's vector timestamp exceeds the
+    // previous one's, so the store keeps whichever update ran last.
+    solo.node.ClientUpdate(/*client=*/1, /*key=*/5, "v" + std::to_string(i),
+                           [&, i] {
+                             completion_order.push_back(i);
+                             done.fetch_add(1);
+                           });
+  }
+  ASSERT_TRUE(WaitForCount(done, kOps));
+  EXPECT_EQ(solo.ValueOf(5), "v" + std::to_string(kOps - 1));
+  solo.node.RunBlocking([&] {
+    ASSERT_EQ(completion_order.size(), static_cast<std::size_t>(kOps));
+    for (int i = 0; i < kOps; ++i) {
+      EXPECT_EQ(completion_order[i], i);
+    }
+  });
+  solo.node.Stop();
+}
+
+TEST(GeoNodeClientOps, OpsBeforeStartRunOnceStarted) {
+  SoloNode solo;
+  std::atomic<int> done{0};
+  solo.node.ClientUpdate(1, 9, "early", [&] { done.fetch_add(1); });
+  solo.node.ClientRead(1, 9, [&] { done.fetch_add(1); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(done.load(), 0);
+  // Not live: RunBlocking runs inline and leaves the queue alone.
+  solo.node.RunBlocking(
+      [&] { EXPECT_EQ(solo.node.runtime().updates_installed(), 0u); });
+  solo.node.Start();
+  ASSERT_TRUE(WaitForCount(done, 2));
+  EXPECT_EQ(solo.ValueOf(9), "early");
+  solo.node.Stop();
+}
+
+TEST(GeoNodeClientOps, OpsAtOrAfterStopNeverRunAndTheirCallbacksAreFreed) {
+  auto token = std::make_shared<int>(0);
+  std::atomic<int> ran{0};
+  {
+    // Queued, never started: Stop discards the op.
+    SoloNode solo;
+    solo.node.ClientUpdate(1, 3, "queued", [&ran, token] { ran.fetch_add(1); });
+    EXPECT_EQ(token.use_count(), 2);
+    solo.node.Stop();
+    EXPECT_EQ(token.use_count(), 1);
+  }
+  SoloNode solo;
+  solo.node.Start();
+  solo.node.Stop();
+  // Issued after Stop: dropped on the spot, callback destroyed unrun.
+  solo.node.ClientUpdate(1, 3, "late", [&ran, token] { ran.fetch_add(1); });
+  solo.node.ClientRead(1, 3, [&ran, token] { ran.fetch_add(1); });
+  EXPECT_EQ(token.use_count(), 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(solo.ValueOf(3), "");
+}
+
+TEST(GeoNodeClientOps, ConcurrentProducersAndRunBlocking) {
+  SoloNode solo;
+  solo.node.Start();
+  constexpr int kPerProducer = 2000;
+  std::atomic<int> done{0};
+  std::atomic<int> finished{0};
+  auto produce = [&](ClientId client, Key key) {
+    for (int i = 0; i < kPerProducer; ++i) {
+      if (i % 4 == 0) {
+        solo.node.ClientUpdate(client, key, std::to_string(i),
+                               [&] { done.fetch_add(1); });
+      } else {
+        solo.node.ClientRead(client, key, [&] { done.fetch_add(1); });
+      }
+    }
+    finished.fetch_add(1);
+  };
+  std::thread a(produce, ClientId{1}, Key{100});
+  std::thread b(produce, ClientId{2}, Key{200});
+  std::uint64_t installed = 0;
+  while (finished.load() < 2) {
+    solo.node.RunBlocking(
+        [&] { installed = solo.node.runtime().updates_installed(); });
+  }
+  a.join();
+  b.join();
+  ASSERT_TRUE(WaitForCount(done, 2 * kPerProducer));
+  solo.node.RunBlocking(
+      [&] { installed = solo.node.runtime().updates_installed(); });
+  EXPECT_EQ(installed, 2u * kPerProducer / 4);
+  // Each producer's last update wins its key.
+  const std::string last = std::to_string(kPerProducer - 4);
+  EXPECT_EQ(solo.ValueOf(100), last);
+  EXPECT_EQ(solo.ValueOf(200), last);
+  solo.node.Stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -727,6 +876,49 @@ TEST(GeoWireTest, PayloadRoundTrip) {
   EXPECT_EQ(out.payload.vts, (VectorTimestamp{9, 8, 7}));
   EXPECT_FALSE(gw::DecodeGeoPayload(payload.substr(0, payload.size() - 1),
                                     &out));
+}
+
+// A kGeoPayload body whose vector timestamp claims `width` entries.
+std::string PayloadWithVtsWidth(std::uint32_t width) {
+  namespace io = net::wire::io;
+  std::string out;
+  io::PutU32(&out, 0);  // partition
+  io::PutU64(&out, 7);  // uid
+  io::PutU64(&out, 8);  // key
+  io::PutU32(&out, 0);  // origin
+  io::PutU32(&out, width);
+  for (std::uint32_t d = 0; d < width; ++d) {
+    io::PutU64(&out, d + 1);
+  }
+  io::PutU32(&out, 1);
+  out += "v";
+  return out;
+}
+
+TEST(GeoWireTest, VectorWidthAboveMaxDcsIsRejected) {
+  gw::GeoPayloadMsg msg;
+  ASSERT_TRUE(gw::DecodeGeoPayload(PayloadWithVtsWidth(geo::kMaxDcs), &msg));
+  EXPECT_EQ(msg.payload.vts.size(), geo::kMaxDcs);
+  EXPECT_EQ(msg.payload.vts[geo::kMaxDcs - 1], geo::kMaxDcs);
+  EXPECT_EQ(gw::EncodeGeoPayload(msg), PayloadWithVtsWidth(geo::kMaxDcs));
+  EXPECT_FALSE(
+      gw::DecodeGeoPayload(PayloadWithVtsWidth(geo::kMaxDcs + 1), &msg));
+
+  // The same bound holds inside a metadata batch.
+  namespace io = net::wire::io;
+  std::string batch;
+  io::PutU32(&batch, 0);  // origin
+  io::PutU32(&batch, 1);  // count
+  io::PutU64(&batch, 7);  // uid
+  io::PutU64(&batch, 8);  // key
+  io::PutU32(&batch, 0);  // origin
+  io::PutU32(&batch, 0);  // partition
+  io::PutU32(&batch, geo::kMaxDcs + 1);
+  for (std::uint32_t d = 0; d <= geo::kMaxDcs; ++d) {
+    io::PutU64(&batch, d + 1);
+  }
+  gw::GeoMetaBatchMsg meta;
+  EXPECT_FALSE(gw::DecodeGeoMetaBatch(batch, &meta));
 }
 
 TEST(GeoWireTest, HelloAndFrontierRoundTrip) {

@@ -3,6 +3,8 @@
 // tracker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/georep/geo_store.h"
@@ -38,6 +40,45 @@ TEST(VectorTimestampTest, SumAndToString) {
   const VectorTimestamp v{10, 20, 30};
   EXPECT_EQ(v.Sum(), 60u);
   EXPECT_EQ(v.ToString(), "[10,20,30]");
+}
+
+TEST(VectorTimestampTest, InlineEntriesAtEveryWidth) {
+  for (std::uint32_t n = 1; n <= kMaxDcs; ++n) {
+    VectorTimestamp a(n);
+    VectorTimestamp b(n);
+    ASSERT_EQ(a.size(), n);
+    EXPECT_EQ(a, b);
+    std::string text = "[";
+    for (DatacenterId d = 0; d < n; ++d) {
+      a[d] = 10 * (d + 1);
+      b[d] = d % 2 == 0 ? 100 : 1;  // above a in even entries, below in odd
+      text += (d > 0 ? "," : "") + std::to_string(a[d]);
+    }
+    text += "]";
+    EXPECT_EQ(a.ToString(), text) << n;
+    EXPECT_EQ(a.Sum(), 10u * n * (n + 1) / 2) << n;
+    EXPECT_EQ(a.entries().size(), n);
+
+    VectorTimestamp merged = a;
+    merged.MergeMax(b);
+    for (DatacenterId d = 0; d < n; ++d) {
+      EXPECT_EQ(merged[d], std::max(a[d], b[d])) << n << ":" << d;
+    }
+    EXPECT_TRUE(merged.Dominates(a));
+    EXPECT_TRUE(merged.Dominates(b));
+    EXPECT_FALSE(a.Dominates(b));
+    EXPECT_EQ(b.Dominates(a), n == 1) << n;
+
+    VectorTimestamp bumped = a;
+    EXPECT_EQ(bumped, a);
+    ++bumped[n - 1];
+    EXPECT_NE(bumped, a) << n;
+    EXPECT_TRUE(a.StrictlyBefore(bumped));
+    if (n < kMaxDcs) {
+      // Same (zero) prefix, different width.
+      EXPECT_NE(VectorTimestamp(n), VectorTimestamp(n + 1));
+    }
+  }
 }
 
 TEST(GeoStoreTest, CausallyNewerWins) {

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "src/net/epoll_transport.h"
 #include "src/net/eunomia_client.h"
 #include "src/net/eunomia_server.h"
+#include "src/net/io_loop.h"
 #include "src/net/loopback_transport.h"
 
 namespace eunomia::net {
@@ -402,6 +404,22 @@ TEST(NetE2eTest, FtServerStabilizesOverLoopback) {
   ASSERT_TRUE(WaitUntil([&] { return server.ops_stabilized() >= 200; }));
   client.Close();
   server.Stop();
+}
+
+// A task posted by a loop task needs no wake, and while it waits in the
+// queue no later post wakes the loop either. The loop must still run both
+// promptly instead of sleeping in epoll_wait until some fd fires.
+TEST(IoLoopTest, TasksPostedByTasksRunWithoutAnotherWake) {
+  std::promise<void> inner_ran;
+  std::promise<void> later_ran;
+  IoLoop loop("IoLoopTest");
+  loop.Post([&] { loop.Post([&] { inner_ran.set_value(); }); });
+  EXPECT_EQ(inner_ran.get_future().wait_for(std::chrono::seconds(2)),
+            std::future_status::ready);
+  loop.Post([&] { later_ran.set_value(); });
+  EXPECT_EQ(later_ran.get_future().wait_for(std::chrono::seconds(2)),
+            std::future_status::ready);
+  loop.Stop();
 }
 
 }  // namespace

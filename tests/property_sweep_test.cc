@@ -65,10 +65,10 @@ TEST_P(EunomiaKvSeedSweep, InvariantsHoldUnderRandomExecutions) {
 
   // Convergence.
   auto snapshot = [&](DatacenterId dc) {
-    std::map<Key, std::pair<Value, std::vector<Timestamp>>> contents;
+    std::map<Key, std::pair<Value, geo::VectorTimestamp>> contents;
     for (PartitionId p = 0; p < config.partitions_per_dc; ++p) {
       system.StoreAt(dc, p).ForEach([&](Key key, const geo::GeoVersion& v) {
-        contents[key] = {v.value, v.vts.entries()};
+        contents[key] = {v.value, v.vts};
       });
     }
     return contents;
